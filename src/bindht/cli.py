@@ -135,6 +135,8 @@ def cmd_exponents(args):
 
 def cmd_stein(args):
     (p1, rate) = _need(args, "p1", "rate")
+    if args.resolution < 1:
+        raise ParameterError("resolution must be at least 1")
     lo, hi = _parse_sweep(args.p0 if args.p0 else "0.005:0.05")
     npts = 1 if lo == hi else args.resolution
     headers = ("p0", "unconstrained", "one_sided", "prior", "symmetric")

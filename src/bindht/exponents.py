@@ -12,9 +12,12 @@ pattern: the innermost weight-difference problem is solved in closed
 form (its stationarity condition is a quadratic), the overlap variable
 of the sphere exponent is convex and handled by golden section, and the
 remaining one-dimensional searches use a coarse grid with golden-section
-refinement.  Array-valued private helpers (suffix ``_vec``) carry the
-same computations elementwise so the region-level optimizations can
-scan parameter grids without Python-loop overhead.
+refinement.  At a center weight w of 0 or 1 the overlap is forced (g = 0
+or g = r), so the sphere exponent is a single evaluation of the
+weight-difference exponent and no search runs.  Array-valued private
+helpers (suffix ``_vec``) carry the same computations elementwise so the
+region-level optimizations can scan parameter grids without Python-loop
+overhead.
 
 Convexity notes, used where golden section is applied without a grid:
 the weight-difference objective is a sum of perspectives of binary
@@ -143,9 +146,11 @@ def _sphere_vec(p, r, w, tau, iters=20):
     r, w, tau = np.broadcast_arrays(
         np.asarray(r, float), np.asarray(w, float), np.asarray(tau, float)
     )
-    lo = np.maximum(0.0, r + w - 1.0)
-    hi = np.minimum(w, r)
     one_w = 1.0 - w
+    # Written as r - (1 - w) so that w = 1 gives lo == hi == r exactly
+    # (r + w - 1 rounds); with w = 0 as well the overlap is forced.
+    lo = np.maximum(0.0, r - one_w)
+    hi = np.minimum(w, r)
     fixed = _h_vec(r) - (xlogy(w, w) + xlogy(one_w, one_w)) / _LN2
 
     def obj(g):

@@ -72,7 +72,9 @@ def golden_min_vec(fn, lo, hi, iters=48):
 
     `fn` must map an array of abscissae to an array of objective values
     (never NaN; +inf is fine).  Degenerate intervals (hi <= lo) collapse
-    to a single evaluation at the midpoint.
+    to their midpoint; when every interval is degenerate `fn` is
+    evaluated once there and the search is skipped, since each probe
+    would land on the same point.
     """
     a = np.array(lo, dtype=float, copy=True)
     b = np.array(hi, dtype=float, copy=True)
@@ -84,6 +86,8 @@ def golden_min_vec(fn, lo, hi, iters=48):
         mid = 0.5 * (a + b)
         a = np.where(bad, mid, a)
         b = np.where(bad, mid, b)
+    if np.all(b <= a):
+        return a, fn(a)
     lo0 = a.copy()
     hi0 = b.copy()
     span = b - a

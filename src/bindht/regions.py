@@ -250,12 +250,21 @@ def _binning_rows(p1, a, theta, rate_bin):
 
     The spectrum branch minimizes 1 - h(w) + ball_exponent(p1, a, w,
     theta) over the coset weights w above the bin code's covering
-    radius.  Over that range w is at least a, and the ball exponent's
-    inner minimum over the noise type r sits at the endpoint r = a:
-    shrinking r only adds the shell penalty h(a) - h(r) while moving
-    the noise farther from the target shell, so both terms grow.  The
-    ball exponent therefore equals the type exponent at a and the
-    search is one-dimensional in w.
+    radius w_lo.  Over that range w is at least a, and the ball
+    exponent's inner minimum over the noise type r sits at the endpoint
+    r = a: shrinking r only adds the shell penalty h(a) - h(r) while
+    moving the noise farther from the target shell, so both terms grow.
+    The ball exponent therefore equals the type exponent B(w) at a.
+
+    That minimum has a closed form.  Summing P(wt(c + U + Z) <= theta n)
+    over all 2^n offsets c counts the theta-ball, so the minimum over
+    all w of 1 - h(w) + B(w) is 1 - h(theta), attained at w* = theta *
+    a * p1 (binary convolutions).  h(w) - B(w) is the exponent of the
+    number of theta-ball points at distance w from the noise word, a
+    partial maximum of a joint-type entropy under linear constraints,
+    hence concave; so 1 - h(w) + B(w) is convex and its minimum over
+    w >= w_lo sits at max(w_lo, w*).  A theta above 1/2 acts as 1/2:
+    the ball then holds about 2^n points and the minimum is 0.
     """
     a = np.asarray(a, float)
     theta = np.asarray(theta, float)
@@ -282,32 +291,27 @@ def _binning_rows(p1, a, theta, rate_bin):
                 )[0]
         return out
 
-    t = np.linspace(0.0, 1.0, 65)
-    ws = w_lo[:, None] + t[None, :] * (1.0 - w_lo[:, None])
-    best, i = _spectrum_row_min(p1, a, theta, ws)
-    span = (1.0 - w_lo) / (len(t) - 1)
-    for npts in (25, 17):
-        centers = np.take_along_axis(ws, i[:, None], axis=1)[:, 0]
-        lo = np.maximum(w_lo, centers - span)
-        hi = np.minimum(1.0, centers + span)
-        t2 = np.linspace(0.0, 1.0, npts)
-        ws = lo[:, None] + t2[None, :] * (hi - lo)[:, None]
-        stage, i = _spectrum_row_min(p1, a, theta, ws)
-        best = np.minimum(best, stage)
-        span = (hi - lo) / (npts - 1)
-
-    branch_spec = -rate_bin + best
+    branch_spec = -rate_bin + _spectrum_min(p1, a, theta, w_lo)
     branch_chan = best_channel_exponent_vec(_conv_vec(a, p1), rate_bin)
     return np.maximum(np.maximum(branch_spec, branch_chan), 0.0)
 
 
-def _spectrum_row_min(p, a, theta, ws):
-    vals = (
-        1.0 - _h_vec(ws)
-        + _ball_type_vec(p, a[:, None], ws, theta[:, None])
-    )
-    i = np.argmin(vals, axis=1)
-    return np.take_along_axis(vals, i[:, None], axis=1)[:, 0], i
+def _spectrum_min(p, a, theta, w_lo):
+    """min over w >= w_lo of 1 - h(w) + B(w), for rows with w_lo >= a.
+
+    The closed form derived in `_binning_rows`: 1 - h(theta) where the
+    unconstrained minimizer w* = theta * a * p is at least w_lo, one
+    sphere evaluation at w_lo elsewhere.
+    """
+    theta_c = np.minimum(theta, 0.5)
+    best = 1.0 - _h_vec(theta_c)
+    below = _conv_vec(theta_c, _conv_vec(a, p)) < w_lo
+    if np.any(below):
+        w = w_lo[below]
+        best[below] = 1.0 - _h_vec(w) + _ball_type_vec(
+            p, a[below], w, theta[below]
+        )
+    return best
 
 
 def _spectrum_min_2d(p, a, theta, w_lo):
@@ -490,6 +494,7 @@ def stein_columns(h, rate, alphas=None, noise="type", ec_rate="bin"):
     candidate levels, so the reported ordering is the ordering of the
     underlying terms rather than an optimizer artifact.
     """
+    _check_rate(rate)
     if alphas is None:
         alphas = default_alpha_grid(rate)
     new = prior = sym = -math.inf
@@ -517,6 +522,7 @@ def stein_time_share(h, rate, alphas=None, which="new", **kwargs):
     """
     if which not in ("new", "prior", "symmetric"):
         raise ParameterError(f"unknown bound {which!r}")
+    _check_rate(rate)
     if alphas is None:
         alphas = default_alpha_grid(rate)
     best = -math.inf
@@ -531,6 +537,12 @@ def stein_time_share(h, rate, alphas=None, which="new", **kwargs):
             v = _symmetric_stein(h, r_eff)
         best = max(best, alpha * v)
     return best
+
+
+def _check_rate(rate):
+    """The time-sharing grid runs from rate to 1, so rate must lie in [0, 1]."""
+    if not (0.0 <= rate <= 1.0):
+        raise ParameterError(f"rate={rate!r} outside [0, 1]")
 
 
 def default_alpha_grid(rate, npts=33):
@@ -587,6 +599,7 @@ def tradeoff_curve(scheme, h, rate, resolution=200, a_points=25,
     """
     if scheme not in SCHEMES:
         raise ParameterError(f"unknown scheme {scheme!r}")
+    _check_rate(rate)
     if resolution < 2:
         raise ParameterError("resolution must be at least 2")
     pts = []

@@ -127,6 +127,27 @@ def test_bad_sweep_spec(capsys):
     assert code == 2 and "sweep" in err
 
 
+@pytest.mark.parametrize("command", ["stein", "tradeoff"])
+@pytest.mark.parametrize("rate", ["1.5", "-0.1"])
+def test_rate_outside_unit_interval_is_usage_error(capsys, command, rate):
+    preset = ["fig2a", "--p0", "0.01"] if command == "stein" else ["fig3b"]
+    code, out, err = _run(
+        capsys, command, "--rate", rate, "--resolution", "3",
+        "--preset", *preset,
+    )
+    assert code == 2 and out == ""
+    assert f"rate={float(rate)!r} outside [0, 1]" in err
+
+
+@pytest.mark.parametrize("resolution", ["0", "-3"])
+def test_stein_resolution_below_one_is_usage_error(capsys, resolution):
+    code, out, err = _run(
+        capsys, "stein", "--preset", "fig2a", "--resolution", resolution,
+    )
+    assert code == 2 and out == ""
+    assert "resolution must be at least 1" in err
+
+
 def test_jsonl_matches_csv(capsys):
     argv = (
         "exponents", "--p0", "0.01", "--p1", "0.25", "--rate", "0.3",

@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
+import bindht.exponents as exponents
 from bindht.binmath import binary_convolution, binary_divergence, binary_entropy
 from bindht.errors import ParameterError
 from bindht.exponents import (
+    _ew_vec,
+    _sphere_vec,
     ball_exponent_forms,
     ball_noise_ball_exponent,
     best_channel_exponent,
@@ -123,6 +126,37 @@ def test_mixed_weight_against_overlap_scan():
             # the grid scan can only sit above the true minimum
             assert fast <= brute + 1e-9
             assert brute - fast < 5e-5
+
+
+@pytest.mark.parametrize("w", [0.0, 1.0])
+def test_sphere_forced_overlap_at_extreme_centers(w, monkeypatch):
+    # At w = 0 the overlap is g = 0 and at w = 1 it is g = r, so the
+    # golden bracket must be a single point and the exponent reduces to
+    # the overlap rate plus one weight-difference evaluation with
+    # sigma = w + r - 2 g flips left to Bernoulli noise.
+    brackets = []
+    real = exponents.golden_min_vec
+
+    def spy(fn, lo, hi, iters=48):
+        brackets.append((np.array(lo, copy=True), np.array(hi, copy=True)))
+        return real(fn, lo, hi, iters=iters)
+
+    monkeypatch.setattr(exponents, "golden_min_vec", spy)
+    rng = np.random.default_rng(5)
+    p = 0.17
+    r = rng.uniform(0.0, 1.0, 200)
+    tau = rng.uniform(0.0, 1.0, 200)
+    got = _sphere_vec(p, r, w, tau)
+    lo, hi = brackets[0]
+    np.testing.assert_array_equal(lo, hi)
+    g = r * w
+    sig = 1.0 - r if w == 1.0 else r
+    ew = _ew_vec(p, 1.0 - sig, sig, tau - sig)
+    want = np.array([
+        max(_overlap_rate(rk, w, gk) + ek, 0.0)
+        for rk, gk, ek in zip(r, g, ew)
+    ])
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
 
 def test_mixed_weight_degenerate_noise():

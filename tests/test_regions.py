@@ -18,6 +18,7 @@ from bindht.binmath import (
     gv_distance,
 )
 from bindht.errors import ParameterError
+from bindht.exponents import _ball_type_vec, _h_vec
 from bindht.regions import (
     SCHEMES,
     CurvePoint,
@@ -25,6 +26,8 @@ from bindht.regions import (
     HypothesisPair,
     SchemeParams,
     _binning_rows,
+    _gv_vec,
+    _spectrum_min,
     baseline_pair,
     curve_value_at,
     one_sided_pair,
@@ -143,6 +146,63 @@ def test_binning_term_meets_union_bound_identity(p1):
     assert equal.sum() >= 50
     gap = np.abs(got - sha)[equal].max()
     assert gap <= 1e-7, f"binning term off the identity by {gap:.3e}"
+
+
+def _spectrum_grid_min(p, a, theta, w_lo):
+    """Spectrum minimum by search: 65-point grid on [w_lo, 1], then two
+    windowed refinements of 25 and 17 points around the best point."""
+    def row_min(ws):
+        vals = 1.0 - _h_vec(ws) + _ball_type_vec(
+            p, a[:, None], ws, theta[:, None]
+        )
+        i = np.argmin(vals, axis=1)
+        return np.take_along_axis(vals, i[:, None], axis=1)[:, 0], i
+
+    t = np.linspace(0.0, 1.0, 65)
+    ws = w_lo[:, None] + t[None, :] * (1.0 - w_lo[:, None])
+    best, i = row_min(ws)
+    span = (1.0 - w_lo) / (len(t) - 1)
+    for npts in (25, 17):
+        centers = np.take_along_axis(ws, i[:, None], axis=1)[:, 0]
+        lo = np.maximum(w_lo, centers - span)
+        hi = np.minimum(1.0, centers + span)
+        t2 = np.linspace(0.0, 1.0, npts)
+        ws = lo[:, None] + t2[None, :] * (hi - lo)[:, None]
+        stage, i = row_min(ws)
+        best = np.minimum(best, stage)
+        span = (hi - lo) / (npts - 1)
+    return best
+
+
+@pytest.mark.parametrize("p1", [0.02, 0.1, 0.25, 0.4])
+def test_spectrum_closed_form_against_grid_search(p1):
+    # The closed form puts the minimum at max(w_lo, w*): where w* < w_lo
+    # the search, which starts at w_lo, must find the same point; where
+    # w* >= w_lo the search can only sit above 1 - h(theta), by its grid
+    # error (largest at small p1, where the minimum is sharpest).  Some
+    # thresholds lie above 1/2, where the minimum is 0.
+    rng = np.random.default_rng(20181004)
+    n = 300
+    a = rng.uniform(0.0, 0.5, n)
+    theta = rng.uniform(0.0, 0.6, n)
+    # cubed so that low bin rates, whose covering radius can exceed w*
+    # at large p1, are well represented
+    rate_bin = rng.uniform(0.0, 1.0, n) ** 3 * (1.0 - _h_vec(a))
+    w_lo = _gv_vec(rate_bin)
+    got = _spectrum_min(p1, a, theta, w_lo)
+    want = _spectrum_grid_min(p1, a, theta, w_lo)
+    w_star = np.array([
+        binary_convolution(t, binary_convolution(x, p1))
+        for t, x in zip(theta, a)
+    ])
+    below = w_star < w_lo
+    assert 20 <= below.sum() <= n - 20, int(below.sum())
+    assert np.all(want >= got - 1e-12), float((got - want).max())
+    gap = np.abs(got - want)[below].max()
+    assert gap <= 1e-12, f"closed form off the search by {gap:.3e}"
+    if p1 >= 0.1:
+        gap = (want - got)[~below].max()
+        assert gap <= 1e-7, f"search above the closed form by {gap:.3e}"
 
 
 def test_stein_pinned_references():
@@ -267,3 +327,16 @@ def test_curve_value_at_interpolates():
 def test_tradeoff_rejects_unknown_scheme():
     with pytest.raises(ParameterError):
         tradeoff_curve("nonsense", FIG_A, 0.3)
+
+
+@pytest.mark.parametrize("rate", [1.5, -0.1, math.nan])
+def test_rate_outside_unit_interval_rejected(rate):
+    # the time-sharing grid runs from rate to 1; a rate above 1 would
+    # make fractions above 1 and inflate every coded exponent
+    with pytest.raises(ParameterError, match=f"rate={rate!r} outside"):
+        stein_columns(FIG_A, rate)
+    with pytest.raises(ParameterError, match=f"rate={rate!r} outside"):
+        stein_time_share(FIG_A, rate)
+    for scheme in ("baseline", "one_sided"):
+        with pytest.raises(ParameterError, match=f"rate={rate!r} outside"):
+            tradeoff_curve(scheme, FIG_A, rate, resolution=3)
