@@ -275,11 +275,12 @@ def _check_scheme_equality():
 
 
 def _check_enumeration_equality():
+    ps = (0.1, 0.25, 0.4)
     for n in range(1, 13):
-        for p in (0.1, 0.25, 0.4):
-            for na in range(n + 1):
-                for nw in range(n + 1):
-                    brute = enumerate_mixed_noise_pmf(n, na, nw, p)
+        for na in range(n + 1):
+            for nw in range(n + 1):
+                brutes = enumerate_mixed_noise_pmf(n, na, nw, ps)
+                for p, brute in zip(ps, brutes):
                     fast = exact_mixed_noise_pmf_vector(n, na, nw, p)
                     for nt in range(n + 1):
                         b, f = brute[nt], fast[nt]

@@ -15,9 +15,13 @@ underflow threshold remain usable through their log2.
 the decomposition: it iterates U over the whole type class and Z over
 all 2^n patterns, accumulating exact integer counts per (weight of z,
 resulting weight) cell, and only converts to float at the very end.
+That count table does not depend on p, so it is built once per
+(n, na, nw) and then weighted by each requested p; the route stays
+exhaustive.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +35,9 @@ _LINEAR_N = 30
 #: largest blocklength for exhaustive (U, Z) enumeration
 ENUM_MAX_N = 12
 
+#: (U, Z) pairs handled per vectorised step of the enumeration
+_ENUM_BLOCK = 1 << 18
+
 
 @dataclass(frozen=True)
 class ExactPmfQuery:
@@ -43,6 +50,8 @@ class ExactPmfQuery:
     p: float
 
     def __post_init__(self):
+        for name in ("n", "a_count", "w_count", "t_count"):
+            _require_int(name, getattr(self, name))
         if self.n < 1:
             raise ParameterError(f"n={self.n} must be positive")
         for name in ("a_count", "w_count", "t_count"):
@@ -51,6 +60,13 @@ class ExactPmfQuery:
                 raise ParameterError(f"{name}={v} outside [0, {self.n}]")
         if not (0.0 <= self.p <= 1.0):
             raise ParameterError(f"p={self.p} outside [0, 1]")
+
+
+def _require_int(name, v):
+    try:
+        operator.index(v)
+    except TypeError:
+        raise ParameterError(f"{name}={v!r} is not an integer") from None
 
 
 def _log_comb(n, k):
@@ -147,9 +163,9 @@ def _pmf_vector_degenerate(n, na, nw, p):
 
 def exact_mixed_noise_pmf_vector(n, a_count, w_count, p):
     """Full pmf over resulting weights 0..n (blocklength-limited)."""
+    ExactPmfQuery(n, a_count, w_count, 0, p)
     if n > 64:
         raise ResourceLimitError(f"pmf vector limited to n <= 64, got {n}")
-    ExactPmfQuery(n, a_count, w_count, 0, p)
     if p == 0.0 or p == 1.0:
         return _pmf_vector_degenerate(n, a_count, w_count, p)
     return _pmf_vector_linear(n, a_count, w_count, p)
@@ -192,34 +208,57 @@ def exact_ball_prob(n, a_count, w_count, t_count, p):
     return float(2.0 ** l2) if l2 > -1000.0 else 0.0
 
 
+def _enumerate_counts(n, a_count, w_count):
+    """Integer count table over (wt(z), resulting weight); n <= ENUM_MAX_N.
+
+    Row j, column t counts the pairs (U, z), U over the weight-a_count
+    type class and z over all 2^n patterns with wt(z) = j, for which
+    c + U + z has weight t, c being the center of weight w_count.
+    Words fit uint16 and cell indices, at most
+    ENUM_MAX_N * (ENUM_MAX_N + 2) = 168, fit uint8.
+    """
+    zs = np.arange(1 << n, dtype=np.uint16)
+    pc = np.zeros(1 << n, dtype=np.uint8)
+    for k in range(n):
+        pc[1 << k: 2 << k] = pc[: 1 << k] + 1
+    vs = np.uint16((1 << w_count) - 1) ^ zs[pc == a_count]
+    counts = np.zeros((n + 1) * (n + 1), dtype=np.int64)
+    rows = max(1, _ENUM_BLOCK >> n)
+    for i in range(0, len(vs), rows):
+        block = vs[i: i + rows, None] ^ zs[None, :]
+        cells = pc[block] * np.uint8(n + 1) + pc
+        counts += np.bincount(cells.ravel(), minlength=len(counts))
+    return counts.reshape(n + 1, n + 1)
+
+
 def enumerate_mixed_noise_pmf(n, a_count, w_count, p):
     """Exhaustive-route pmf over resulting weights; n <= ENUM_MAX_N.
 
     Iterates U over the full type class and Z over all 2^n patterns,
     with integer counting per (wt(z), resulting weight) cell so float
-    rounding enters only in the final mixture.
+    rounding enters only in the final mixture.  The count table is
+    built once and weighted by each p: a scalar p gives one pmf
+    vector, a 1-D sequence gives one row per entry, and row i is
+    identical to the call with p[i] alone.
     """
+    if np.ndim(p) > 1:
+        raise ParameterError(f"p must be a scalar or 1-D, got {np.shape(p)}")
+    ps = list(p) if np.ndim(p) else [p]
+    for q in ps:
+        ExactPmfQuery(n, a_count, w_count, 0, q)
     if n > ENUM_MAX_N:
         raise ResourceLimitError(
             f"exhaustive enumeration limited to n <= {ENUM_MAX_N}, got {n}"
         )
-    ExactPmfQuery(n, a_count, w_count, 0, p)
-    c = (1 << w_count) - 1
-    zs = np.arange(1 << n, dtype=np.int64)
-    pc = np.array([bin(i).count("1") for i in range(1 << n)], dtype=np.uint8)
-    us = zs[pc == a_count]
-    vs = (c ^ us).astype(np.int64)
-    counts = np.zeros((n + 1) * (n + 1), dtype=np.int64)
-    chunk = max(1, (1 << 22) // (1 << n))
-    for i in range(0, len(vs), chunk):
-        block = vs[i: i + chunk, None] ^ zs[None, :]
-        combined = pc[block].astype(np.int64) * (n + 1) + pc[zs][None, :]
-        counts += np.bincount(combined.ravel(), minlength=len(counts))
-    counts = counts.reshape(n + 1, n + 1)
-    z_prob = np.array(
-        [p ** j * (1.0 - p) ** (n - j) for j in range(n + 1)]
-    )
-    return counts @ z_prob / len(us)
+    counts = _enumerate_counts(n, a_count, w_count)
+    denom = math.comb(n, a_count)
+    pmfs = np.empty((len(ps), n + 1))
+    for i, q in enumerate(ps):
+        z_prob = np.array(
+            [q ** j * (1.0 - q) ** (n - j) for j in range(n + 1)]
+        )
+        pmfs[i] = counts @ z_prob / denom
+    return pmfs if np.ndim(p) else pmfs[0]
 
 
 def np_exact_errors(n, p0, p1, theta):
@@ -228,13 +267,7 @@ def np_exact_errors(n, p0, p1, theta):
     Decides the second hypothesis when wt(z)/n > theta; returns
     (P(false alarm under p0), P(miss under p1)).
     """
-    if n < 1:
-        raise ParameterError(f"n={n} must be positive")
-    for name, p in (("p0", p0), ("p1", p1)):
-        if not (0.0 <= p <= 1.0):
-            raise ParameterError(f"{name}={p} outside [0, 1]")
-    if not (0.0 <= theta <= 1.0):
-        raise ParameterError(f"theta={theta} outside [0, 1]")
+    _check_threshold_test(n, p0, p1, theta)
     k_acc = int(math.floor(n * theta + 1e-9))
     eps0 = _binom_tail(n, p0, k_acc + 1)
     eps1 = 1.0 - _binom_tail(n, p1, k_acc + 1)
@@ -243,10 +276,22 @@ def np_exact_errors(n, p0, p1, theta):
 
 def np_exact_log2_errors(n, p0, p1, theta):
     """Same test as np_exact_errors but returning log2 of each error."""
+    _check_threshold_test(n, p0, p1, theta)
     k_acc = int(math.floor(n * theta + 1e-9))
     l0 = _log2_binom_tail(n, p0, k_acc + 1, upper=True)
     l1 = _log2_binom_tail(n, p1, k_acc, upper=False)
     return l0, l1
+
+
+def _check_threshold_test(n, p0, p1, theta):
+    _require_int("n", n)
+    if n < 1:
+        raise ParameterError(f"n={n} must be positive")
+    for name, p in (("p0", p0), ("p1", p1)):
+        if not (0.0 <= p <= 1.0):
+            raise ParameterError(f"{name}={p} outside [0, 1]")
+    if not (0.0 <= theta <= 1.0):
+        raise ParameterError(f"theta={theta} outside [0, 1]")
 
 
 def _binom_tail(n, p, k_from):

@@ -1,9 +1,15 @@
 """Command line behavior through in-process main() calls."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bindht
+import bindht.cli
 from bindht.cli import PRESETS, main
 from bindht.regions import (
     SCHEMES,
@@ -265,6 +271,36 @@ def test_validate_injected_failure(capsys):
     assert code == 1
     assert "FAIL failure injection" in out
     assert "5/6 checks passed" in out
+
+
+def test_validate_full_passes(capsys):
+    code, out, _ = _run(capsys, "validate", "--level", "full")
+    assert code == 0
+    assert "PASS exhaustive enumeration equality" in out
+    assert out.endswith("7/7 checks passed\n")
+
+
+def test_validate_full_detects_enumeration_mismatch(capsys, monkeypatch):
+    exact = bindht.cli.exact_mixed_noise_pmf_vector
+    monkeypatch.setattr(
+        bindht.cli, "exact_mixed_noise_pmf_vector",
+        lambda *args: exact(*args) * (1.0 + 1e-9),
+    )
+    code, out, _ = _run(capsys, "validate", "--level", "full")
+    assert code == 1
+    assert "FAIL exhaustive enumeration equality" in out
+
+
+def test_module_entry_point_runs_validate():
+    paths = [str(Path(bindht.__file__).resolve().parents[1])]
+    paths += filter(None, [os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bindht", "validate"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "5/5 checks passed" in proc.stdout
 
 
 def test_presets_cover_figure_parameters():

@@ -15,6 +15,7 @@ from scipy.stats import binom
 from bindht.errors import ParameterError, ResourceLimitError
 from bindht.oracle import (
     ExactPmfQuery,
+    _enumerate_counts,
     enumerate_mixed_noise_pmf,
     exact_ball_log2_prob,
     exact_ball_prob,
@@ -33,6 +34,60 @@ def test_pmf_matches_enumeration_small():
                 brute = enumerate_mixed_noise_pmf(n, na, nw, p)
                 fast = exact_mixed_noise_pmf_vector(n, na, nw, p)
                 np.testing.assert_allclose(fast, brute, rtol=1e-12, atol=1e-300)
+
+
+def _reference_counts(n, a_count, w_count):
+    # the original enumeration kernel: int64 words, a string popcount and
+    # 2^22-element blocks, kept as the reference for _enumerate_counts
+    c = (1 << w_count) - 1
+    zs = np.arange(1 << n, dtype=np.int64)
+    pc = np.array([bin(i).count("1") for i in range(1 << n)], dtype=np.uint8)
+    us = zs[pc == a_count]
+    vs = (c ^ us).astype(np.int64)
+    counts = np.zeros((n + 1) * (n + 1), dtype=np.int64)
+    chunk = max(1, (1 << 22) // (1 << n))
+    for i in range(0, len(vs), chunk):
+        block = vs[i: i + chunk, None] ^ zs[None, :]
+        combined = pc[block].astype(np.int64) * (n + 1) + pc[zs][None, :]
+        counts += np.bincount(combined.ravel(), minlength=len(counts))
+    return counts.reshape(n + 1, n + 1)
+
+
+def test_enumerate_counts_match_reference_kernel():
+    cases = [
+        (n, na, nw)
+        for n in range(1, 11)
+        for na in range(n + 1)
+        for nw in range(n + 1)
+    ]
+    cases += [(12, 0, 12), (12, 6, 6), (12, 5, 9), (12, 12, 0)]
+    for n, na, nw in cases:
+        got = _enumerate_counts(n, na, nw)
+        want = _reference_counts(n, na, nw)
+        assert np.array_equal(got, want), (n, na, nw)
+        assert got.sum() == math.comb(n, na) << n
+
+
+def test_enumeration_p_sequence_rows_equal_scalar_calls():
+    ps = [0.0, 0.1, 0.25, 0.4, 1.0]
+    for n, na, nw in ((1, 0, 1), (7, 3, 5), (11, 6, 2)):
+        rows = enumerate_mixed_noise_pmf(n, na, nw, ps)
+        assert rows.shape == (len(ps), n + 1)
+        for p, row in zip(ps, rows):
+            scalar = enumerate_mixed_noise_pmf(n, na, nw, p)
+            assert row.tobytes() == scalar.tobytes(), (n, na, nw, p)
+    rows = enumerate_mixed_noise_pmf(5, 2, 3, np.array([0.2, 0.3]))
+    assert rows[1].tobytes() == enumerate_mixed_noise_pmf(
+        5, 2, 3, np.float64(0.3)
+    ).tobytes()
+
+
+@pytest.mark.parametrize(
+    "ps", [(0.1, 1.5), (-0.1, 0.2), (0.2, float("nan")), [[0.1, 0.2]]]
+)
+def test_enumeration_p_sequence_validated(ps):
+    with pytest.raises(ParameterError):
+        enumerate_mixed_noise_pmf(6, 2, 3, ps)
 
 
 def test_pmf_normalizes():
@@ -146,6 +201,13 @@ def test_np_exponent_bracket():
 def test_query_validation():
     with pytest.raises(ParameterError):
         ExactPmfQuery(10, 11, 0, 0, 0.3)
+    with pytest.raises(ParameterError, match="n=2.5 is not an integer"):
+        enumerate_mixed_noise_pmf(2.5, 1, 1, 0.1)
+    with pytest.raises(ParameterError, match="a_count=1.0 is not an integer"):
+        ExactPmfQuery(4, 1.0, 1, 0, 0.1)
+    with pytest.raises(ParameterError, match="n=64.5 is not an integer"):
+        exact_mixed_noise_pmf_vector(64.5, 1, 1, 0.1)
+    assert ExactPmfQuery(np.int64(4), np.int32(1), np.uint8(2), 0, 0.1).n == 4
     with pytest.raises(ParameterError):
         ExactPmfQuery(10, 0, 0, 0, 1.3)
     with pytest.raises(ParameterError):
@@ -154,3 +216,20 @@ def test_query_validation():
         enumerate_mixed_noise_pmf(13, 2, 2, 0.3)
     with pytest.raises(ResourceLimitError):
         exact_mixed_noise_pmf_vector(65, 2, 2, 0.3)
+
+
+@pytest.mark.parametrize(
+    "fn", [np_exact_errors, np_exact_log2_errors], ids=["linear", "log2"]
+)
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, 0.1, 0.2, 0.5), "n=0 must be positive"),
+        ((2.5, 0.1, 0.2, 0.5), "n=2.5 is not an integer"),
+        ((10, 2.0, 0.2, 0.5), r"p0=2.0 outside \[0, 1\]"),
+        ((10, 0.1, 0.2, float("nan")), r"theta=nan outside \[0, 1\]"),
+    ],
+)
+def test_threshold_test_validation(fn, args, message):
+    with pytest.raises(ParameterError, match=message):
+        fn(*args)
