@@ -64,7 +64,6 @@ from .regions import (
     prior_stein_bound,
     stein_columns,
     symmetric_pair,
-    symmetric_stein,
     tradeoff_curve,
     unconstrained_pair,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "sample_random_linear_code",
     "stein_columns",
     "symmetric_pair",
-    "symmetric_stein",
     "tradeoff_curve",
     "type_noise_ball_exponent",
     "unconstrained_pair",

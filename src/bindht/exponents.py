@@ -5,7 +5,9 @@ center of normalized weight w, U is uniform over a type class (or a
 Hamming ball) of radius a, and Z is iid Bernoulli(p).  The exponents
 below give the first-order term of log-probabilities of weight events
 for this mixture, plus the classical random-coding and expurgated
-exponents of the BSC used for the binning analysis.
+exponents of the BSC used for the binning analysis.  The channel
+exponents are Gallager's closed forms, evaluated elementwise in one
+place; the scalar functions are validated one-row calls into it.
 
 All exponents are in bits per symbol.  Minimizations follow a common
 pattern: the innermost weight-difference problem is solved in closed
@@ -35,11 +37,11 @@ from scipy.special import xlogy
 
 from .binmath import binary_convolution, binary_entropy
 from .errors import ParameterError
-from .optim import golden_min, golden_min_vec, grid_golden_max
+from .optim import golden_min, golden_min_vec
 
 _LN2 = math.log(2.0)
 
-#: cap on the expurgated-exponent slope parameter (reciprocal grid lower end)
+#: cap on the expurgated-exponent slope rho (s = 1/rho stays >= 1/RHO_MAX)
 RHO_MAX = 1e4
 
 _TOL = 1e-9
@@ -58,6 +60,19 @@ def _h_vec(u):
     """Binary entropy of an array, safe at the endpoints."""
     u = np.clip(u, 0.0, 1.0)
     return -(xlogy(u, u) + xlogy(1.0 - u, 1.0 - u)) / _LN2
+
+
+def _gv_vec(rates):
+    """gv_distance elementwise: bisect h(x) = 1 - rate on [0, 1/2]."""
+    target = 1.0 - np.asarray(rates, float)
+    lo = np.zeros_like(target)
+    hi = np.full_like(target, 0.5)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = _h_vec(mid) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def _persp_db(x, alpha, p):
@@ -298,96 +313,79 @@ def ball_exponent_forms(p, a, w, theta):
 # ---------------------------------------------------------------------------
 # BSC channel-coding exponents
 
-def _gallager_rc(p, rho):
-    s = 1.0 / (1.0 + rho)
-    if p <= 0.0:
-        e0 = 0.0
-    else:
-        e0 = (1.0 + rho) * math.log2(p ** s + (1.0 - p) ** s)
-    return rho - e0
+def _channel_exponents_vec(p, rate):
+    """Random-coding and expurgated exponents of the BSC, elementwise.
+
+    Gallager's closed forms (Information Theory and Reliable
+    Communication, 1968, ch. 5), with delta = delta_GV(rate) and
+    x = 2 sqrt(p (1 - p)):
+
+    * random coding: d(delta || p) from the critical rate
+      R_crit = 1 - h(sqrt(p) / (sqrt(p) + sqrt(1 - p))) up to capacity
+      (0 beyond it), and the straight line 1 - 2 log2(sqrt(p) +
+      sqrt(1 - p)) - rate below R_crit;
+    * expurgated: max over s = 1/rho in [1/RHO_MAX, 1] of
+      -(log2(1/2 + x^s / 2) + rate) / s.  The objective is concave in
+      rho, and its stationary point solves x^s = delta / (1 - delta), so
+      clipping that s to the interval gives the maximum.  At rate 0 the
+      clip binds at the RHO_MAX cap, which keeps the value finite.
+
+    p = 0 gives 1 - rate and (1 - rate) RHO_MAX; p = 1/2 (x = 1) puts
+    s at 1.  Inputs are clipped to p in [0, 1/2] and rate in [0, 1].
+    """
+    p, rate = np.broadcast_arrays(
+        np.clip(np.asarray(p, float), 0.0, 0.5),
+        np.clip(np.asarray(rate, float), 0.0, 1.0),
+    )
+    pos = p > 0.0
+    ps = np.where(pos, p, 0.25)
+    delta = _gv_vec(rate)
+    sq, sq_c = np.sqrt(ps), np.sqrt(1.0 - ps)
+    r_crit = 1.0 - _h_vec(sq / (sq + sq_c))
+    sphere = (
+        xlogy(delta, delta / ps)
+        + xlogy(1.0 - delta, (1.0 - delta) / (1.0 - ps))
+    ) / _LN2
+    er = np.where(
+        rate < r_crit,
+        1.0 - 2.0 * np.log2(sq + sq_c) - rate,
+        np.where(delta > ps, sphere, 0.0),
+    )
+    x = 2.0 * sq * sq_c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.log(delta / (1.0 - delta)) / np.log(x)
+    s = np.where(x < 1.0, np.clip(s, 1.0 / RHO_MAX, 1.0), 1.0)
+    ex = -(np.log2(0.5 + 0.5 * x ** s) + rate) / s
+    er = np.where(pos, np.maximum(er, 0.0), 1.0 - rate)
+    ex = np.where(pos, ex, (1.0 - rate) * RHO_MAX)
+    return er, ex
+
+
+def _checked_channel(p, rate):
+    return _channel_exponents_vec(
+        _check01(p, "p", hi=0.5), _check01(rate, "rate")
+    )
 
 
 def random_coding_exponent(p, rate):
     """Gallager's random-coding exponent of the BSC(p) at the given rate."""
-    p = _check01(p, "p", hi=0.5)
-    rate = _check01(rate, "rate")
-    _, val = grid_golden_max(
-        lambda rho: _gallager_rc(p, rho) - rho * rate, 0.0, 1.0
-    )
-    return max(val, 0.0)
+    er, _ = _checked_channel(p, rate)
+    return float(er)
 
 
 def expurgated_exponent(p, rate):
-    """Expurgated exponent of the BSC(p); slope capped at RHO_MAX.
-
-    The search runs over the reciprocal slope s = 1/rho in [1/RHO_MAX, 1]
-    so the coarse grid stays affordable; the objective is concave in rho.
-    """
-    p = _check01(p, "p", hi=0.5)
-    rate = _check01(rate, "rate")
-    x = 2.0 * math.sqrt(p * (1.0 - p))
-
-    def obj(s):
-        if x <= 0.0:
-            return (1.0 - rate) / s
-        return -(math.log2(0.5 + 0.5 * x ** s) + rate) / s
-
-    _, val = grid_golden_max(obj, 1.0 / RHO_MAX, 1.0)
-    return val
+    """Expurgated exponent of the BSC(p); slope capped at RHO_MAX."""
+    _, ex = _checked_channel(p, rate)
+    return float(ex)
 
 
 def best_channel_exponent(p, rate):
     """Larger of the random-coding and expurgated exponents, clamped at 0."""
-    return max(
-        random_coding_exponent(p, rate), expurgated_exponent(p, rate), 0.0
-    )
+    er, ex = _checked_channel(p, rate)
+    return max(float(er), float(ex), 0.0)
 
 
 def best_channel_exponent_vec(p, rate):
-    """Elementwise best_channel_exponent over broadcast arrays.
-
-    Same coarse-grid-plus-golden search as the scalar version, run on
-    all elements at once; p = 0 entries fall back to the closed forms
-    (1 - rate for random coding, slope-capped (1 - rate) * RHO_MAX for
-    the expurgated branch).
-    """
-    p, rate = np.broadcast_arrays(
-        np.asarray(p, float), np.asarray(rate, float)
-    )
-    shape = p.shape
-    p = np.clip(p.ravel(), 0.0, 0.5)
-    rate = np.clip(rate.ravel(), 0.0, 1.0)
-    pos = p > 0.0
-    ps = np.where(pos, p, 0.25)
-
-    def rc_neg(rho):
-        s = 1.0 / (1.0 + rho)
-        e0 = (1.0 + rho) * np.log2(ps ** s + (1.0 - ps) ** s)
-        return -(rho - e0 - rho * rate)
-
-    rho_grid = np.linspace(0.0, 1.0, 65)
-    vals = np.stack([rc_neg(np.full_like(ps, r)) for r in rho_grid])
-    i = np.argmin(vals, axis=0)
-    step = rho_grid[1] - rho_grid[0]
-    lo = np.clip(rho_grid[i] - step, 0.0, 1.0)
-    hi = np.clip(rho_grid[i] + step, 0.0, 1.0)
-    _, er = golden_min_vec(rc_neg, lo, hi)
-    er = np.maximum(-er, 0.0)
-    er = np.where(pos, er, 1.0 - rate)
-
-    x = 2.0 * np.sqrt(ps * (1.0 - ps))
-
-    def ex_neg(s):
-        return (np.log2(0.5 + 0.5 * x ** s) + rate) / s
-
-    s_grid = np.linspace(1.0 / RHO_MAX, 1.0, 65)
-    vals = np.stack([ex_neg(np.full_like(ps, s)) for s in s_grid])
-    i = np.argmin(vals, axis=0)
-    step = s_grid[1] - s_grid[0]
-    lo = np.clip(s_grid[i] - step, 1.0 / RHO_MAX, 1.0)
-    hi = np.clip(s_grid[i] + step, 1.0 / RHO_MAX, 1.0)
-    _, ex = golden_min_vec(ex_neg, lo, hi)
-    ex = -ex
-    ex = np.where(pos, ex, (1.0 - rate) * RHO_MAX)
-
-    return np.maximum(np.maximum(er, ex), 0.0).reshape(shape)
+    """Elementwise best_channel_exponent over broadcast arrays."""
+    er, ex = _channel_exponents_vec(p, rate)
+    return np.maximum(np.maximum(er, ex), 0.0)

@@ -2,9 +2,8 @@
 
 Two flavours:
 
-* ``grid_golden_min`` -- coarse grid followed by golden-section refinement
-  of the bracketing interval.  Used for one-dimensional searches where
-  the objective may have several local dips.
+* ``golden_min`` -- scalar golden section on a unimodal function, used
+  to refine a grid bracket.
 * ``golden_min_vec`` -- fixed-iteration golden section applied elementwise
   over numpy arrays.  Only valid when each slice of the objective is
   unimodal on its interval (the callers argue convexity case by case).
@@ -43,28 +42,6 @@ def golden_min(f, lo, hi, tol=1e-8, max_iter=200):
     cands = [(f(lo), lo), (f(hi), hi), (f1, x1), (f2, x2)]
     fbest, xbest = min(cands, key=lambda t: t[0])
     return xbest, fbest
-
-
-def grid_golden_min(f, lo, hi, step=1e-3, tol=1e-8):
-    """Coarse grid at `step`, then golden refinement around the best cell."""
-    if hi <= lo:
-        x = 0.5 * (lo + hi)
-        return x, f(x)
-    npts = max(int(math.ceil((hi - lo) / step)) + 1, 3)
-    xs = np.linspace(lo, hi, npts)
-    vals = [f(x) for x in xs]
-    i = int(np.argmin(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, npts - 1)]
-    xg, fg = golden_min(f, a, b, tol=tol)
-    if vals[i] <= fg:
-        return float(xs[i]), vals[i]
-    return xg, fg
-
-
-def grid_golden_max(f, lo, hi, step=1e-3, tol=1e-8):
-    x, fneg = grid_golden_min(lambda t: -f(t), lo, hi, step=step, tol=tol)
-    return x, -fneg
 
 
 def golden_min_vec(fn, lo, hi, iters=48):

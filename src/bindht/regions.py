@@ -13,8 +13,8 @@ induced bin rate is rate_bin = 1 - h(a) - rate_x.  `one_sided_pair`
 evaluates the achievable exponent pair of that scheme at a threshold,
 `symmetric_pair` is the equal-rate special case a = 0 (achievable with
 modulo-sum decoding at both terminals), and `one_sided_stein` is the
-best miss exponent under a vanishing false-alarm constraint.  Earlier
-benchmark bounds (`sigma_ac`, `sigma_han`, `sigma_sha`) and the
+best miss exponent under a vanishing false-alarm constraint.  The
+prior one-sided benchmark (`prior_stein_bound`) and the
 single-terminal/unconstrained references are included so callers can
 reproduce the comparison sweeps.
 """
@@ -33,13 +33,13 @@ from .binmath import (
 from .errors import ParameterError
 from .exponents import (
     _ball_type_vec,
+    _gv_vec,
     _h_vec,
     ball_noise_ball_exponent,
     best_channel_exponent,
     best_channel_exponent_vec,
     type_noise_ball_exponent,
 )
-from .optim import golden_min
 
 _TOL = 1e-9
 
@@ -149,62 +149,17 @@ def time_share(pair, alpha):
 
 
 # ---------------------------------------------------------------------------
-# previously known one-sided (Stein) benchmarks
-
-def sigma_ac(h, rate_x):
-    """Quantize-only miss exponent at the Gilbert-Varshamov noise level."""
-    a = gv_distance(rate_x)
-    return binary_divergence(
-        binary_convolution(a, h.p0), binary_convolution(a, h.p1)
-    )
-
-
-def sigma_han(h, a):
-    """Type-noise miss exponent of quantization at level a, no binning."""
-    return type_noise_ball_exponent(
-        h.p1, a, 0.0, binary_convolution(a, h.p0)
-    )
-
-
-def sigma_sha_term(rate, a, p0):
-    """Rate-limited binning term R - h(a * p0) + h(a)."""
-    return rate - binary_entropy(binary_convolution(a, p0)) + binary_entropy(a)
-
-
-def sigma_sha(h, rate_x):
-    """Quantize-and-bin benchmark: max over a of min(HAN term, SHA term).
-
-    The no-binning value sigma_han(gv_distance(rate_x)) is a separate
-    benchmark; callers wanting the overall prior state of the art take
-    the max of the two (see prior_stein_bound).
-    """
-    a_hi = gv_distance(rate_x)
-    if a_hi <= 0.0:
-        return min(sigma_han(h, 0.0), sigma_sha_term(rate_x, 0.0, h.p0))
-    grid = np.linspace(0.0, a_hi, max(int(math.ceil(a_hi / 1e-3)) + 1, 5))
-    han = _ball_type_vec(
-        h.p1, grid, 0.0, _conv_vec(grid, h.p0)
-    )
-    sha = rate_x - _h_vec(_conv_vec(grid, h.p0)) + _h_vec(grid)
-    vals = np.minimum(han, sha)
-    i = int(np.argmax(vals))
-
-    def obj(a):
-        return -min(sigma_han(h, a), sigma_sha_term(rate_x, a, h.p0))
-
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    _, neg = golden_min(obj, float(lo), float(hi), tol=1e-8)
-    return max(float(vals[i]), -neg)
-
+# previously known one-sided (Stein) benchmark
 
 def prior_stein_bound(h, rate_x):
     """Best previously known one-sided exponent at rate rate_x.
 
-    Equals max(sigma_han at the covering radius, sigma_sha): the
-    candidate scan includes the covering-radius endpoint, where the
-    binning term exceeds the quantization term and the minimum reduces
-    to the no-binning benchmark.
+    Maximizes over the quantization level a the minimum of the helper
+    noise term at threshold a * p0 and the rate-limited binning term
+    rate_x - h(a * p0) + h(a).  The candidate scan includes the
+    covering-radius endpoint, where the binning term exceeds the
+    quantization term and the minimum reduces to the no-binning
+    benchmark.
     """
     return _stein_scan(h, rate_x, need_ec=False).prior_max
 
@@ -213,40 +168,16 @@ def _conv_vec(u, p):
     return u + p - 2.0 * p * u
 
 
-def _gv_vec(rates):
-    """gv_distance elementwise: bisect h(x) = 1 - rate on [0, 1/2]."""
-    target = 1.0 - np.asarray(rates, float)
-    lo = np.zeros_like(target)
-    hi = np.full_like(target, 0.5)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = _h_vec(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 # ---------------------------------------------------------------------------
 # binning decision-error exponent
 
-def binning_error_exponent(p1, a, theta, rate_bin):
+def _binning_rows(p1, a, theta, rate_bin):
     """Exponent of a wrong bin member landing inside the decision ball.
 
-    Maximum of the weight-spectrum branch (sum over coset weights above
-    the Gilbert-Varshamov radius of the bin code) and the best channel
+    Vectorized over parallel candidate rows: the maximum of the
+    weight-spectrum branch (sum over coset weights above the
+    Gilbert-Varshamov radius of the bin code) and the best channel
     exponent at the bin rate.
-    """
-    if not (0.0 <= rate_bin <= 1.0 + _TOL):
-        raise ParameterError(f"rate_bin={rate_bin} outside [0, 1]")
-    out = _binning_rows(
-        p1, np.asarray([a], float), np.asarray([theta], float),
-        np.asarray([rate_bin], float),
-    )
-    return float(out[0])
-
-
-def _binning_rows(p1, a, theta, rate_bin):
-    """binning_error_exponent over parallel candidate rows, vectorized.
 
     The spectrum branch minimizes 1 - h(w) + ball_exponent(p1, a, w,
     theta) over the coset weights w above the bin code's covering
@@ -269,28 +200,9 @@ def _binning_rows(p1, a, theta, rate_bin):
     a = np.asarray(a, float)
     theta = np.asarray(theta, float)
     rate_bin = np.clip(np.asarray(rate_bin, float), 0.0, 1.0)
-    w_lo = _gv_vec(rate_bin)
-    # The endpoint argument needs w >= a throughout the search range;
-    # rows where the covering radius dips below a keep the full inner
-    # minimization over r.
-    narrow = w_lo < a - 1e-12
-    if np.any(narrow):
-        out = np.empty(len(a))
-        for k in range(len(a)):
-            if narrow[k]:
-                spec = -rate_bin[k] + _spectrum_min_2d(
-                    p1, float(a[k]), float(theta[k]), float(w_lo[k])
-                )
-                chan = best_channel_exponent(
-                    binary_convolution(float(a[k]), p1), float(rate_bin[k])
-                )
-                out[k] = max(spec, chan, 0.0)
-            else:
-                out[k] = _binning_rows(
-                    p1, a[k:k + 1], theta[k:k + 1], rate_bin[k:k + 1]
-                )[0]
-        return out
-
+    # Every caller has rate_bin <= 1 - h(a), so the covering radius is
+    # at least a; the clamp only removes bisection rounding near a = 1/2.
+    w_lo = np.maximum(_gv_vec(rate_bin), a)
     branch_spec = -rate_bin + _spectrum_min(p1, a, theta, w_lo)
     branch_chan = best_channel_exponent_vec(_conv_vec(a, p1), rate_bin)
     return np.maximum(np.maximum(branch_spec, branch_chan), 0.0)
@@ -314,31 +226,6 @@ def _spectrum_min(p, a, theta, w_lo):
     return best
 
 
-def _spectrum_min_2d(p, a, theta, w_lo):
-    """Spectrum minimum with the inner r search kept, for w_lo < a."""
-    h_a = binary_entropy(a)
-    w_a, w_b = w_lo, 1.0
-    r_a, r_b = 0.0, a
-    best = math.inf
-    nw, nr = 96, 48
-    for _ in range(4):
-        ws = np.linspace(w_a, w_b, nw)
-        rs = np.linspace(r_a, r_b, nr)
-        W, R = np.meshgrid(ws, rs, indexing="ij")
-        vals = (
-            1.0 - _h_vec(W) + h_a - _h_vec(R)
-            + _ball_type_vec(p, R, W, theta)
-        )
-        i, j = np.unravel_index(np.argmin(vals), vals.shape)
-        best = min(best, float(vals[i, j]))
-        dw = (w_b - w_a) / (nw - 1)
-        dr = (r_b - r_a) / (nr - 1)
-        w_a, w_b = max(w_lo, ws[i] - 2 * dw), min(1.0, ws[i] + 2 * dw)
-        r_a, r_b = max(0.0, rs[j] - 2 * dr), min(a, rs[j] + 2 * dr)
-        nw, nr = 24, 24
-    return best
-
-
 # ---------------------------------------------------------------------------
 # achievable pairs of the coded schemes
 
@@ -358,7 +245,7 @@ def one_sided_pair(h, params):
     )
     e1 = min(
         ball_noise_ball_exponent(h.p1, a, 0.0, theta),
-        binning_error_exponent(h.p1, a, theta, rate_bin),
+        float(_binning_rows(h.p1, [a], [theta], [rate_bin])[0]),
     )
     pair = ExponentPair(max(e0, 0.0), max(e1, 0.0))
     return time_share(pair, params.time_share)
@@ -397,19 +284,13 @@ class SteinScan:
         return float(np.max(np.minimum(self.han, self.sha)))
 
 
-def _stein_terms(h, rate_x, levels, noise, ec_rate, need_ec):
+def _stein_terms(h, rate_x, levels, need_ec):
     theta = _conv_vec(levels, h.p0)
-    if noise == "type":
-        han = np.asarray(_ball_type_vec(h.p1, levels, 0.0, theta), float)
-    else:
-        han = _shell_row_min(h.p1, levels, 0.0, theta)
+    han = np.asarray(_ball_type_vec(h.p1, levels, 0.0, theta), float)
     sha = rate_x - _h_vec(theta) + _h_vec(levels)
     if need_ec:
         rate_bin = np.maximum(1.0 - _h_vec(levels) - rate_x, 0.0)
-        rate_arg = (
-            rate_bin if ec_rate == "bin" else np.full_like(levels, rate_x)
-        )
-        ec = _binning_rows(h.p1, levels, theta, rate_arg)
+        ec = _binning_rows(h.p1, levels, theta, rate_bin)
     else:
         ec = np.full_like(levels, math.inf)
     return han, sha, ec
@@ -440,18 +321,14 @@ def _shell_row_min(p, a, w, theta):
     return np.maximum(np.minimum(best, obj.min(axis=1)), 0.0)
 
 
-def _stein_scan(h, rate_x, noise="type", ec_rate="bin", need_ec=True):
-    if noise not in ("type", "ball"):
-        raise ParameterError(f"unknown noise form {noise!r}")
-    if ec_rate not in ("bin", "message"):
-        raise ParameterError(f"unknown ec_rate {ec_rate!r}")
+def _stein_scan(h, rate_x, need_ec=True):
     a_hi = gv_distance(rate_x)
     if a_hi <= 0.0:
         levels = np.zeros(1)
-        han, sha, ec = _stein_terms(h, rate_x, levels, noise, ec_rate, need_ec)
+        han, sha, ec = _stein_terms(h, rate_x, levels, need_ec)
         return SteinScan(levels, han, sha, ec)
     levels = np.linspace(0.0, a_hi, 49)
-    han, sha, ec = _stein_terms(h, rate_x, levels, noise, ec_rate, need_ec)
+    han, sha, ec = _stein_terms(h, rate_x, levels, need_ec)
     span = a_hi / (len(levels) - 1)
     for npts in (17, 17):
         centers = {float(levels[int(np.argmax(np.minimum(han, sha)))])}
@@ -461,7 +338,7 @@ def _stein_scan(h, rate_x, noise="type", ec_rate="bin", need_ec=True):
             np.linspace(max(0.0, c - span), min(a_hi, c + span), npts)
             for c in sorted(centers)
         ])
-        h2, s2, e2 = _stein_terms(h, rate_x, extra, noise, ec_rate, need_ec)
+        h2, s2, e2 = _stein_terms(h, rate_x, extra, need_ec)
         levels = np.concatenate([levels, extra])
         han = np.concatenate([han, h2])
         sha = np.concatenate([sha, s2])
@@ -471,28 +348,28 @@ def _stein_scan(h, rate_x, noise="type", ec_rate="bin", need_ec=True):
     return SteinScan(levels[order], han[order], sha[order], ec[order])
 
 
-def one_sided_stein(h, rate_x, noise="type", ec_rate="bin"):
+def one_sided_stein(h, rate_x):
     """Best miss exponent with vanishing false-alarm probability.
 
     Maximizes over the quantization level a the minimum of the helper
-    noise term at threshold a * p0 and the binning decision-error term.
-    ``noise`` selects the type-class ("type") or ball ("ball") reading
-    of the helper term; ``ec_rate`` selects the rate argument of the
-    binning term, the induced bin rate ("bin", default) or the raw
-    message rate ("message").
+    type-noise term at threshold a * p0 and the binning decision-error
+    term at the induced bin rate.
     """
-    return _stein_scan(h, rate_x, noise=noise, ec_rate=ec_rate).new_max
+    return _stein_scan(h, rate_x).new_max
 
 
-def stein_columns(h, rate, alphas=None, noise="type", ec_rate="bin"):
+def stein_columns(h, rate, alphas=None):
     """Time-shared Stein columns on one shared alpha grid.
 
     Returns the unconstrained reference together with the time-sharing
     maxima of the new bound, the prior benchmark, and the equal-rate
-    (a = 0) variant.  All three schemes see the same alpha grid, and
-    the new and prior bounds additionally share their per-alpha
-    candidate levels, so the reported ordering is the ordering of the
-    underlying terms rather than an optimizer artifact.
+    (a = 0) variant.  Splitting the block and running a scheme at rate
+    rate/alpha on an alpha fraction scales its exponent by alpha; alpha
+    ranges over [rate, 1] so the boosted rate stays at most 1 bit.  All
+    three schemes see the same alpha grid, and the new and prior bounds
+    additionally share their per-alpha candidate levels, so the reported
+    ordering is the ordering of the underlying terms rather than an
+    optimizer artifact.
     """
     _check_rate(rate)
     if alphas is None:
@@ -501,7 +378,7 @@ def stein_columns(h, rate, alphas=None, noise="type", ec_rate="bin"):
     for alpha in alphas:
         alpha = float(alpha)
         r_eff = min(rate / alpha, 1.0)
-        scan = _stein_scan(h, r_eff, noise=noise, ec_rate=ec_rate)
+        scan = _stein_scan(h, r_eff)
         new = max(new, alpha * scan.new_max)
         prior = max(prior, alpha * scan.prior_max)
         sym = max(sym, alpha * _symmetric_stein(h, r_eff))
@@ -511,32 +388,6 @@ def stein_columns(h, rate, alphas=None, noise="type", ec_rate="bin"):
         "prior": prior,
         "symmetric": sym,
     }
-
-
-def stein_time_share(h, rate, alphas=None, which="new", **kwargs):
-    """max over alpha of alpha * bound(rate / alpha) on a shared grid.
-
-    Splitting the block and running the scheme at rate rate/alpha on an
-    alpha fraction scales the exponent by alpha; alpha ranges over
-    [rate, 1] so the boosted rate stays at most 1 bit.
-    """
-    if which not in ("new", "prior", "symmetric"):
-        raise ParameterError(f"unknown bound {which!r}")
-    _check_rate(rate)
-    if alphas is None:
-        alphas = default_alpha_grid(rate)
-    best = -math.inf
-    for alpha in alphas:
-        alpha = float(alpha)
-        r_eff = min(rate / alpha, 1.0)
-        if which == "new":
-            v = one_sided_stein(h, r_eff, **kwargs)
-        elif which == "prior":
-            v = _stein_scan(h, r_eff, need_ec=False).prior_max
-        else:
-            v = _symmetric_stein(h, r_eff)
-        best = max(best, alpha * v)
-    return best
 
 
 def _check_rate(rate):
@@ -555,12 +406,8 @@ def _symmetric_stein(h, rate):
     rate_bin = max(1.0 - rate, 0.0)
     return min(
         type_noise_ball_exponent(h.p1, 0.0, 0.0, theta),
-        binning_error_exponent(h.p1, 0.0, theta, rate_bin),
+        float(_binning_rows(h.p1, [0.0], [theta], [rate_bin])[0]),
     )
-
-
-def symmetric_stein(h, rate):
-    return _symmetric_stein(h, rate)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Large-deviation exponents checked against brute-force searches and oracles.
 
 The closed-form pieces (stationary-point weight-difference exponent,
-golden-section sphere and channel searches) each get an independent route
-here: dense grid scans, direct Gallager evaluations, and the exact
-finite-n probability oracle.
+golden-section sphere search, Gallager channel exponents) each get an
+independent route here: dense grid scans, direct Gallager evaluations,
+and the exact finite-n probability oracle.
 """
 
 import math
@@ -16,6 +16,7 @@ import bindht.exponents as exponents
 from bindht.binmath import binary_convolution, binary_divergence, binary_entropy
 from bindht.errors import ParameterError
 from bindht.exponents import (
+    RHO_MAX,
     _ew_vec,
     _sphere_vec,
     ball_exponent_forms,
@@ -263,6 +264,20 @@ def test_random_coding_against_dense_rho_scan():
         assert random_coding_exponent(p, rate) == pytest.approx(brute, abs=1e-8)
 
 
+@pytest.mark.parametrize("p", [0.02, 0.11, 0.3])
+def test_random_coding_across_critical_rate(p):
+    # below R_crit the maximizing rho sits at 1 (the straight line),
+    # above it inside (0, 1) (the sphere-packing branch)
+    q = math.sqrt(p) / (math.sqrt(p) + math.sqrt(1.0 - p))
+    r_crit = 1.0 - binary_entropy(q)
+    rhos = np.linspace(0.0, 1.0, 20001)
+    for rate in (0.0, 0.5 * r_crit, r_crit - 1e-3, r_crit + 1e-3):
+        brute = max(
+            max(_gallager_direct(p, rho) - rho * rate for rho in rhos), 0.0
+        )
+        assert random_coding_exponent(p, rate) == pytest.approx(brute, abs=1e-8)
+
+
 def test_random_coding_pinned_value():
     # frozen from an independent 1e6-point scan of the Gallager objective
     assert random_coding_exponent(0.11, 0.2) == pytest.approx(
@@ -276,6 +291,28 @@ def test_expurgated_beats_random_coding_at_low_rate():
     assert expurgated_exponent(0.11, 0.01) == pytest.approx(
         0.2983703255452653, abs=1e-8
     )
+
+
+def _expurgated_direct(p, rate, s):
+    x = 2.0 * math.sqrt(p * (1.0 - p))
+    return -(np.log2(0.5 + 0.5 * x ** s) + rate) / s
+
+
+@pytest.mark.parametrize("p", [0.02, 0.11, 0.3])
+def test_expurgated_against_dense_slope_scan(p):
+    # the closed form clips the stationary slope to [1/RHO_MAX, 1]; a
+    # dense log-spaced scan of s over that interval must agree, and can
+    # never exceed the maximum by more than rounding
+    x = 2.0 * math.sqrt(p * (1.0 - p))
+    r_x = 1.0 - binary_entropy(x / (1.0 + x))
+    q = math.sqrt(p) / (math.sqrt(p) + math.sqrt(1.0 - p))
+    r_crit = 1.0 - binary_entropy(q)
+    s = np.geomspace(1.0 / RHO_MAX, 1.0, 400001)
+    for rate in (0.0, r_x - 1e-3, r_x + 1e-3, r_crit - 1e-3, r_crit + 1e-3):
+        closed = expurgated_exponent(p, rate)
+        scan = float(np.max(_expurgated_direct(p, rate, s)))
+        assert closed == pytest.approx(scan, abs=1e-8), (p, rate)
+        assert scan <= closed + 1e-12, (p, rate, scan - closed)
 
 
 def test_expurgated_zero_rate_slope_cap():

@@ -17,8 +17,15 @@ from bindht.binmath import (
     binary_entropy,
     gv_distance,
 )
+import bindht
 from bindht.errors import ParameterError
-from bindht.exponents import _ball_type_vec, _h_vec
+from bindht.exponents import (
+    _ball_type_vec,
+    _gv_vec,
+    _h_vec,
+    type_noise_ball_exponent,
+)
+from bindht.optim import golden_min
 from bindht.regions import (
     SCHEMES,
     CurvePoint,
@@ -26,21 +33,18 @@ from bindht.regions import (
     HypothesisPair,
     SchemeParams,
     _binning_rows,
-    _gv_vec,
+    _conv_vec,
     _spectrum_min,
+    _symmetric_stein,
     baseline_pair,
     curve_value_at,
+    default_alpha_grid,
     one_sided_pair,
     one_sided_stein,
     pareto_points,
     prior_stein_bound,
-    sigma_ac,
-    sigma_han,
-    sigma_sha,
     stein_columns,
-    stein_time_share,
     symmetric_pair,
-    symmetric_stein,
     time_share,
     tradeoff_curve,
     unconstrained_pair,
@@ -48,6 +52,58 @@ from bindht.regions import (
 
 FIG_A = HypothesisPair(0.01, 0.25)
 FIG_B = HypothesisPair(0.01, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# earlier one-sided benchmarks, kept here as independent formula oracles
+
+def sigma_ac(h, rate_x):
+    """Quantize-only miss exponent at the Gilbert-Varshamov noise level."""
+    a = gv_distance(rate_x)
+    return binary_divergence(
+        binary_convolution(a, h.p0), binary_convolution(a, h.p1)
+    )
+
+
+def sigma_han(h, a):
+    """Type-noise miss exponent of quantization at level a, no binning."""
+    return type_noise_ball_exponent(
+        h.p1, a, 0.0, binary_convolution(a, h.p0)
+    )
+
+
+def sigma_sha_term(rate, a, p0):
+    """Rate-limited binning term R - h(a * p0) + h(a)."""
+    return rate - binary_entropy(binary_convolution(a, p0)) + binary_entropy(a)
+
+
+def sigma_sha(h, rate_x):
+    """Quantize-and-bin benchmark: max over a of min(HAN term, SHA term),
+    by a 1e-3 grid in a and golden refinement of the best cell."""
+    a_hi = gv_distance(rate_x)
+    if a_hi <= 0.0:
+        return min(sigma_han(h, 0.0), sigma_sha_term(rate_x, 0.0, h.p0))
+    grid = np.linspace(0.0, a_hi, max(int(math.ceil(a_hi / 1e-3)) + 1, 5))
+    han = _ball_type_vec(h.p1, grid, 0.0, _conv_vec(grid, h.p0))
+    sha = rate_x - _h_vec(_conv_vec(grid, h.p0)) + _h_vec(grid)
+    vals = np.minimum(han, sha)
+    i = int(np.argmax(vals))
+
+    def obj(a):
+        return -min(sigma_han(h, a), sigma_sha_term(rate_x, a, h.p0))
+
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, len(grid) - 1)]
+    _, neg = golden_min(obj, float(lo), float(hi), tol=1e-8)
+    return max(float(vals[i]), -neg)
+
+
+def _time_shared(bound, h, rate):
+    """max over the default alpha grid of alpha * bound(h, rate / alpha)."""
+    return max(
+        float(alpha) * bound(h, min(rate / float(alpha), 1.0))
+        for alpha in default_alpha_grid(rate)
+    )
 
 
 def test_hypothesis_pair_validation():
@@ -239,7 +295,7 @@ def test_stein_benchmark_combination():
     formulas = max(sigma_han(h, gv_distance(0.3)), sigma_sha(h, 0.3))
     assert prior_stein_bound(h, 0.3) == pytest.approx(formulas, abs=2e-5)
     assert stein_columns(h, 0.3)["prior"] == pytest.approx(
-        stein_time_share(h, 0.3, which="prior"), abs=1e-9
+        _time_shared(prior_stein_bound, h, 0.3), abs=1e-9
     )
 
 
@@ -258,10 +314,10 @@ def test_stein_benchmarks_individual():
 def test_symmetric_stein_matches_column():
     cols = stein_columns(FIG_A, 0.3)
     assert cols["symmetric"] == pytest.approx(
-        stein_time_share(FIG_A, 0.3, which="symmetric"), abs=1e-9
+        _time_shared(_symmetric_stein, FIG_A, 0.3), abs=1e-9
     )
     # time sharing strictly helps the plain equal-rate value here
-    assert cols["symmetric"] > symmetric_stein(FIG_A, 0.3) + 0.01
+    assert cols["symmetric"] > _symmetric_stein(FIG_A, 0.3) + 0.01
 
 
 def test_pareto_points_removes_dominated():
@@ -305,7 +361,7 @@ def test_tradeoff_time_sharing_extends_reach():
         "symmetric", FIG_A, 0.3, resolution=80, alpha_points=9
     )
     best_e1 = max(pt.pair.e1 for pt in curve.points)
-    assert best_e1 >= 0.9 * symmetric_stein(FIG_A, 0.3)
+    assert best_e1 >= 0.9 * _symmetric_stein(FIG_A, 0.3)
     alphas = {pt.alpha for pt in curve.points}
     assert len(alphas) > 1
 
@@ -335,8 +391,33 @@ def test_rate_outside_unit_interval_rejected(rate):
     # make fractions above 1 and inflate every coded exponent
     with pytest.raises(ParameterError, match=f"rate={rate!r} outside"):
         stein_columns(FIG_A, rate)
-    with pytest.raises(ParameterError, match=f"rate={rate!r} outside"):
-        stein_time_share(FIG_A, rate)
     for scheme in ("baseline", "one_sided"):
         with pytest.raises(ParameterError, match=f"rate={rate!r} outside"):
             tradeoff_curve(scheme, FIG_A, rate, resolution=3)
+
+
+def test_stein_rate_zero_columns_exactly_zero():
+    # at rate 0 the only level is a = 1/2 and the bin rate is 0, so the
+    # bin code's covering radius is a itself; no coded scheme has a
+    # positive miss exponent
+    cols = stein_columns(FIG_A, 0.0)
+    assert cols["new"] == cols["prior"] == cols["symmetric"] == 0.0
+
+
+@pytest.mark.parametrize("rate", [0.0, 1.0])
+@pytest.mark.parametrize("p0, p1", [(0.0, 0.25), (0.25, 0.25), (0.01, 0.5)])
+def test_stein_columns_at_boundary_inputs(p0, p1, rate):
+    cols = stein_columns(HypothesisPair(p0, p1), rate)
+    for key, v in cols.items():
+        assert math.isfinite(v) and v >= 0.0, (key, v)
+    assert (
+        cols["unconstrained"] >= cols["new"]
+        >= cols["prior"] - 1e-7 >= cols["symmetric"] - 1e-7
+    ), cols
+    if rate == 1.0:
+        assert cols["new"] == pytest.approx(cols["unconstrained"], abs=1e-6)
+
+
+def test_public_names_resolve():
+    for name in bindht.__all__:
+        assert hasattr(bindht, name), name
