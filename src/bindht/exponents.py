@@ -9,25 +9,25 @@ exponents of the BSC used for the binning analysis.  The channel
 exponents are Gallager's closed forms, evaluated elementwise in one
 place; the scalar functions are validated one-row calls into it.
 
-All exponents are in bits per symbol.  Minimizations follow a common
-pattern: the innermost weight-difference problem is solved in closed
-form (its stationarity condition is a quadratic), the overlap variable
-of the sphere exponent is convex and handled by golden section, and the
-remaining one-dimensional searches use a coarse grid with golden-section
-refinement.  At a center weight w of 0 or 1 the overlap is forced (g = 0
-or g = r), so the sphere exponent is a single evaluation of the
-weight-difference exponent and no search runs.  Array-valued private
-helpers (suffix ``_vec``) carry the same computations elementwise so the
-region-level optimizations can scan parameter grids without Python-loop
-overhead.
+All exponents are in bits per symbol.  The innermost weight-difference
+problem is solved in closed form (its stationarity condition is a
+quadratic).  The only remaining search is the overlap variable of the
+sphere exponent, which is convex and handled by golden section; at a
+center weight w of 0 or 1 the overlap is forced (g = 0 or g = r), so
+the sphere exponent is a single evaluation of the weight-difference
+exponent and no search runs.  The minimum over the noise type of a
+ball-uniform U is a closed form (`_shell_row_min`).  Array-valued
+private helpers (suffix ``_vec``) carry the same computations
+elementwise so the region-level optimizations can scan parameter grids
+without Python-loop overhead.
 
-Convexity notes, used where golden section is applied without a grid:
-the weight-difference objective is a sum of perspectives of binary
-divergences, hence jointly convex in (x, alpha, beta, tau); the overlap
-objective of the sphere exponent is that partial minimum plus the
-hypergeometric rate, again convex; the sphere exponent itself is convex
-in the target weight tau, zero at the typical weight, which reduces the
-ball version to a single sphere evaluation at the clipped target.
+Convexity notes: the weight-difference objective is a sum of
+perspectives of binary divergences, hence jointly convex in (x, alpha,
+beta, tau); the overlap objective of the sphere exponent is that
+partial minimum plus the hypergeometric rate, again convex; the sphere
+exponent itself is convex in the target weight tau, zero at the typical
+weight, which reduces the ball version to a single sphere evaluation at
+the clipped target.
 """
 
 import math
@@ -35,9 +35,8 @@ import math
 import numpy as np
 from scipy.special import xlogy
 
-from .binmath import binary_convolution, binary_entropy
 from .errors import ParameterError
-from .optim import golden_min, golden_min_vec
+from .optim import golden_min_vec
 
 _LN2 = math.log(2.0)
 
@@ -60,6 +59,11 @@ def _h_vec(u):
     """Binary entropy of an array, safe at the endpoints."""
     u = np.clip(u, 0.0, 1.0)
     return -(xlogy(u, u) + xlogy(1.0 - u, 1.0 - u)) / _LN2
+
+
+def _conv_vec(u, p):
+    """Binary convolution u * p = u (1 - p) + p (1 - u), elementwise."""
+    return u + p - 2.0 * p * u
 
 
 def _gv_vec(rates):
@@ -151,12 +155,14 @@ def _ew_vec(p, alpha, beta, tau):
 
 
 def _sphere_vec(p, r, w, tau, iters=20):
-    """Sphere-hit exponent, elementwise over (r, w, tau); 0 < p < 1.
+    """Sphere-hit exponent, elementwise over (r, w, tau).
 
     min over the overlap g of _hyp_rate + weight-difference exponent of
     the remaining Bernoulli flips; the objective is convex in g.  The
     g-independent parts of the overlap rate are hoisted out of the
-    golden loop.
+    golden loop.  At p in {0, 1} no flip is random, so the target
+    weight forces the overlap and only its rate remains (+inf where
+    that overlap is infeasible).
     """
     r, w, tau = np.broadcast_arrays(
         np.asarray(r, float), np.asarray(w, float), np.asarray(tau, float)
@@ -166,6 +172,11 @@ def _sphere_vec(p, r, w, tau, iters=20):
     # (r + w - 1 rounds); with w = 0 as well the overlap is forced.
     lo = np.maximum(0.0, r - one_w)
     hi = np.minimum(w, r)
+    if p == 0.0 or p == 1.0:
+        g = 0.5 * (w + r - (tau if p == 0.0 else 1.0 - tau))
+        feasible = (g >= lo - _TOL) & (g <= hi + _TOL)
+        rate = np.maximum(_hyp_rate(r, w, np.clip(g, lo, hi)), 0.0)
+        return np.where(feasible, rate, np.inf)
     fixed = _h_vec(r) - (xlogy(w, w) + xlogy(one_w, one_w)) / _LN2
 
     def obj(g):
@@ -194,6 +205,35 @@ def _ball_type_vec(p, r, w, theta, iters=20):
     tau_eval = np.minimum(theta, tau_typ)
     val = _sphere_vec(p, r, w, tau_eval, iters=iters)
     return np.where(theta >= tau_typ, 0.0, val)
+
+
+def _shell_row_min(p, a, w, theta, iters=20):
+    """Ball-noise ball exponent, elementwise (see ball_noise_ball_exponent).
+
+    The minimum over the noise type r in [0, a] of h(a) - h(r) + B(r),
+    with B the type-noise ball exponent at (r, w, theta), in closed
+    form.  Were U uniform over all of {0,1}^n, U + Z would be uniform
+    too, so P(wt(c + U + Z) <= theta n) would be the size of the
+    theta-ball over 2^n.  Grouping that sum by the type of U gives
+    min over all r of 1 - h(r) + B(r) = 1 - h(theta'), theta' =
+    min(theta, 1/2), attained at the typical type of U given the event,
+    r* = theta' * w * p (binary convolutions).  h(r) - B(r) is a partial
+    maximum of a joint-type entropy under linear constraints, hence
+    concave (the argument of `regions._binning_rows`), so the objective
+    is convex in r and its minimum over [0, a] is h(a) - h(theta')
+    where r* <= a, and B(a) elsewhere.  This holds for every center
+    weight w; iters is passed on to the sphere search of B.
+    """
+    a, w, theta = np.broadcast_arrays(
+        np.asarray(a, float), np.asarray(w, float), np.asarray(theta, float)
+    )
+    theta_c = np.minimum(theta, 0.5)
+    r_star = _conv_vec(_conv_vec(theta_c, w), p)
+    return np.where(
+        r_star <= a,
+        np.maximum(_h_vec(a) - _h_vec(theta_c), 0.0),
+        _ball_type_vec(p, a, w, theta, iters=iters),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +273,6 @@ def mixed_weight_exponent(p, a, w, tau):
     a = _check01(a, "a")
     w = _check01(w, "w")
     tau = _check01(tau, "tau")
-    if p == 0.0 or p == 1.0:
-        # only the deterministic overlap remains
-        target = tau if p == 0.0 else 1.0 - tau
-        g = 0.5 * (w + a - target)
-        if g < max(0.0, a + w - 1.0) - _TOL or g > min(w, a) + _TOL:
-            return math.inf
-        g = min(max(g, max(0.0, a + w - 1.0)), min(w, a))
-        return float(max(_hyp_rate(a, w, g), 0.0))
     return float(_sphere_vec(p, a, w, tau, iters=60))
 
 
@@ -255,11 +287,7 @@ def type_noise_ball_exponent(p, a, w, theta):
     a = _check01(a, "a")
     w = _check01(w, "w")
     theta = _check01(theta, "theta")
-    sig_typ = binary_convolution(w, a)
-    tau_typ = binary_convolution(sig_typ, p)
-    if theta >= tau_typ:
-        return 0.0
-    return mixed_weight_exponent(p, a, w, theta)
+    return float(_ball_type_vec(p, a, w, theta, iters=60))
 
 
 def ball_noise_ball_exponent(p, a, w, theta):
@@ -269,31 +297,17 @@ def ball_noise_ball_exponent(p, a, w, theta):
     2^{-n(h(a) - h(r))}, so the exponent is the best trade between that
     shell penalty and the type-conditional exponent:
 
-        min over r in [0, a] of (h(a) - h(r)) + type-noise exponent at r.
+        min over r in [0, a] of (h(a) - h(r)) + type-noise exponent at r,
+
+    which `_shell_row_min` gives in closed form.  The radius a is at
+    most 1/2: beyond it the ball holds about 2^n points and h(a) is no
+    longer its size exponent.
     """
     p = _check01(p, "p")
-    a = _check01(a, "a")
+    a = _check01(a, "a", hi=0.5)
     w = _check01(w, "w")
     theta = _check01(theta, "theta")
-    if a == 0.0:
-        return type_noise_ball_exponent(p, a, w, theta)
-    if p == 0.0 or p == 1.0:
-        raise ParameterError("ball_noise_ball_exponent requires 0 < p < 1")
-    step = max(a / 400.0, 1e-5)
-    rs = np.linspace(0.0, a, int(math.ceil(a / step)) + 1)
-    vals = -_h_vec(rs) + _ball_type_vec(p, rs, w, theta)
-    i = int(np.argmin(vals))
-
-    def f(r):
-        return float(
-            -_h_vec(np.asarray(r)) + _ball_type_vec(p, np.asarray(r), w, theta)
-        )
-
-    lo = rs[max(i - 1, 0)]
-    hi = rs[min(i + 1, len(rs) - 1)]
-    _, refined = golden_min(f, float(lo), float(hi), tol=1e-8)
-    best = min(float(vals[i]), refined)
-    return max(best + binary_entropy(a), 0.0)
+    return float(_shell_row_min(p, a, w, theta, iters=60))
 
 
 def ball_exponent_forms(p, a, w, theta):
@@ -330,6 +344,9 @@ def _channel_exponents_vec(p, rate):
       clipping that s to the interval gives the maximum.  At rate 0 the
       clip binds at the RHO_MAX cap, which keeps the value finite.
 
+    Both are clamped at 0: with s at 1 the expurgated form falls below 0
+    at rates above -log2(1/2 + x/2).
+
     p = 0 gives 1 - rate and (1 - rate) RHO_MAX; p = 1/2 (x = 1) puts
     s at 1.  Inputs are clipped to p in [0, 1/2] and rate in [0, 1].
     """
@@ -357,7 +374,7 @@ def _channel_exponents_vec(p, rate):
     s = np.where(x < 1.0, np.clip(s, 1.0 / RHO_MAX, 1.0), 1.0)
     ex = -(np.log2(0.5 + 0.5 * x ** s) + rate) / s
     er = np.where(pos, np.maximum(er, 0.0), 1.0 - rate)
-    ex = np.where(pos, ex, (1.0 - rate) * RHO_MAX)
+    ex = np.where(pos, np.maximum(ex, 0.0), (1.0 - rate) * RHO_MAX)
     return er, ex
 
 
@@ -374,7 +391,7 @@ def random_coding_exponent(p, rate):
 
 
 def expurgated_exponent(p, rate):
-    """Expurgated exponent of the BSC(p); slope capped at RHO_MAX."""
+    """Expurgated exponent of the BSC(p); slope capped at RHO_MAX, value at 0."""
     _, ex = _checked_channel(p, rate)
     return float(ex)
 

@@ -1,14 +1,9 @@
-"""Small deterministic scalar optimizers used across the exponent code.
+"""Deterministic golden-section search used by the exponent code.
 
-Two flavours:
-
-* ``golden_min`` -- scalar golden section on a unimodal function, used
-  to refine a grid bracket.
-* ``golden_min_vec`` -- fixed-iteration golden section applied elementwise
-  over numpy arrays.  Only valid when each slice of the objective is
-  unimodal on its interval (the callers argue convexity case by case).
-
-Both always evaluate the interval endpoints and return the best point
+``golden_min_vec`` is a fixed-iteration golden section applied
+elementwise over numpy arrays.  It is only valid when each slice of the
+objective is unimodal on its interval (the caller argues convexity).  It
+always evaluates the interval endpoints and returns the best point
 actually evaluated, so exact boundary optima survive untouched.
 """
 
@@ -17,31 +12,6 @@ import math
 import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_min(f, lo, hi, tol=1e-8, max_iter=200):
-    """Golden-section minimum of a unimodal f on [lo, hi]."""
-    if hi <= lo:
-        x = 0.5 * (lo + hi)
-        return x, f(x)
-    a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    it = 0
-    while b - a > tol and it < max_iter:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-        it += 1
-    cands = [(f(lo), lo), (f(hi), hi), (f1, x1), (f2, x2)]
-    fbest, xbest = min(cands, key=lambda t: t[0])
-    return xbest, fbest
 
 
 def golden_min_vec(fn, lo, hi, iters=48):

@@ -33,10 +33,10 @@ from .binmath import (
 from .errors import ParameterError
 from .exponents import (
     _ball_type_vec,
+    _conv_vec,
     _gv_vec,
     _h_vec,
-    ball_noise_ball_exponent,
-    best_channel_exponent,
+    _shell_row_min,
     best_channel_exponent_vec,
     type_noise_ball_exponent,
 )
@@ -164,10 +164,6 @@ def prior_stein_bound(h, rate_x):
     return _stein_scan(h, rate_x, need_ec=False).prior_max
 
 
-def _conv_vec(u, p):
-    return u + p - 2.0 * p * u
-
-
 # ---------------------------------------------------------------------------
 # binning decision-error exponent
 
@@ -238,16 +234,8 @@ def one_sided_pair(h, params):
             f"theta={theta} outside [{lo}, {hi}] for a={a}"
         )
     theta = min(max(theta, lo), hi)
-    rate_bin = params.rate_bin
-    e0 = min(
-        ball_noise_ball_exponent(h.p0, a, 1.0, 1.0 - theta),
-        best_channel_exponent(binary_convolution(a, h.p0), rate_bin),
-    )
-    e1 = min(
-        ball_noise_ball_exponent(h.p1, a, 0.0, theta),
-        float(_binning_rows(h.p1, [a], [theta], [rate_bin])[0]),
-    )
-    pair = ExponentPair(max(e0, 0.0), max(e1, 0.0))
+    e0, e1 = _pair_rows(h, [a], [theta], params.rate_x)
+    pair = ExponentPair(float(e0[0]), float(e1[0]))
     return time_share(pair, params.time_share)
 
 
@@ -294,31 +282,6 @@ def _stein_terms(h, rate_x, levels, need_ec):
     else:
         ec = np.full_like(levels, math.inf)
     return han, sha, ec
-
-
-def _shell_row_min(p, a, w, theta):
-    """Ball-noise ball exponent over parallel rows, vectorized.
-
-    Per row, min over r <= a of h(a) - h(r) + type exponent at (r, w,
-    theta): a coarse grid in r followed by one windowed refinement.
-    """
-    a, w, theta = np.broadcast_arrays(
-        np.asarray(a, float), np.asarray(w, float), np.asarray(theta, float)
-    )
-    h_a = _h_vec(a)[:, None]
-    t = np.linspace(0.0, 1.0, 49)
-    rs = a[:, None] * t[None, :]
-    obj = h_a - _h_vec(rs) + _ball_type_vec(p, rs, w[:, None], theta[:, None])
-    i = np.argmin(obj, axis=1)
-    best = np.take_along_axis(obj, i[:, None], axis=1)[:, 0]
-    span = a / (len(t) - 1)
-    centers = np.take_along_axis(rs, i[:, None], axis=1)[:, 0]
-    lo = np.maximum(0.0, centers - span)
-    hi = np.minimum(a, centers + span)
-    t2 = np.linspace(0.0, 1.0, 25)
-    rs = lo[:, None] + t2[None, :] * (hi - lo)[:, None]
-    obj = h_a - _h_vec(rs) + _ball_type_vec(p, rs, w[:, None], theta[:, None])
-    return np.maximum(np.minimum(best, obj.min(axis=1)), 0.0)
 
 
 def _stein_scan(h, rate_x, need_ec=True):

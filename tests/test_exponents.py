@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import xlogy
 
 import bindht.exponents as exponents
@@ -17,7 +18,9 @@ from bindht.binmath import binary_convolution, binary_divergence, binary_entropy
 from bindht.errors import ParameterError
 from bindht.exponents import (
     RHO_MAX,
+    _ball_type_vec,
     _ew_vec,
+    _h_vec,
     _sphere_vec,
     ball_exponent_forms,
     ball_noise_ball_exponent,
@@ -212,14 +215,10 @@ def test_type_noise_ball_against_oracle():
 
 
 def _bb_brute(p, a, w, theta, npts=801):
-    best = math.inf
-    for r in np.linspace(0.0, a, npts):
-        val = (
-            binary_entropy(a) - binary_entropy(r)
-            + type_noise_ball_exponent(p, r, w, theta)
-        )
-        best = min(best, val)
-    return max(best, 0.0)
+    """Scan the noise type r over [0, a]: shell penalty plus type exponent."""
+    rs = np.linspace(0.0, a, npts)
+    vals = _h_vec(a) - _h_vec(rs) + _ball_type_vec(p, rs, w, theta, iters=60)
+    return max(float(vals.min()), 0.0)
 
 
 def test_ball_noise_against_shell_scan():
@@ -233,6 +232,51 @@ def test_ball_noise_against_shell_scan():
         brute = _bb_brute(p, a, w, theta)
         assert fast <= brute + 1e-9
         assert fast == pytest.approx(brute, abs=5e-5)
+
+
+def test_ball_noise_rejects_radius_above_half():
+    # beyond a = 1/2 the ball holds about 2^n points, so h(a) is no
+    # longer the exponent of its size
+    with pytest.raises(ParameterError, match="a=0.9 outside"):
+        ball_noise_ball_exponent(0.1, 0.9, 0.0, 0.05)
+    with pytest.raises(ParameterError):
+        ball_noise_ball_exponent(0.1, 0.51, 1.0, 0.5)
+    assert math.isfinite(ball_noise_ball_exponent(0.1, 0.5, 0.0, 0.05))
+
+
+def test_ball_noise_noiseless_closed_form():
+    # p = 0 at w = 0 leaves wt(U): a ball-uniform U lies within theta
+    # with exponent h(a) - h(theta) below a and 0 above.  At w = 1 the
+    # weight 1 - wt(U) is at least 1 - a, so smaller thresholds are
+    # unreachable; p = 1 mirrors that.
+    for a in (0.1, 0.3, 0.5):
+        for theta in np.linspace(0.0, 0.6, 13):
+            want = max(binary_entropy(a) - binary_entropy(min(theta, 0.5)), 0.0)
+            got = ball_noise_ball_exponent(0.0, a, 0.0, float(theta))
+            assert got == pytest.approx(want, abs=1e-12), (a, theta)
+    assert ball_noise_ball_exponent(0.0, 0.2, 1.0, 0.79) == math.inf
+    assert ball_noise_ball_exponent(0.0, 0.2, 1.0, 0.8) == 0.0
+    assert ball_noise_ball_exponent(1.0, 0.2, 0.0, 0.7) == math.inf
+
+
+@settings(deadline=None)
+@given(
+    p=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+    a=st.floats(min_value=0.0, max_value=0.5),
+    w=st.floats(min_value=0.0, max_value=1.0),
+    thetas=st.lists(
+        st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=2
+    ),
+)
+def test_ball_noise_properties(p, a, w, thetas):
+    lo, hi = sorted(thetas)
+    at_lo = ball_noise_ball_exponent(p, a, w, lo)
+    at_hi = ball_noise_ball_exponent(p, a, w, hi)
+    for theta, v in ((lo, at_lo), (hi, at_hi)):
+        assert math.isfinite(v) and v >= 0.0, (theta, v)
+        assert v <= type_noise_ball_exponent(p, a, w, theta) + 1e-12
+    # a larger ball is at least as likely
+    assert at_hi <= at_lo + 1e-9, (at_lo, at_hi)
 
 
 def test_ball_noise_never_exceeds_type_noise():
@@ -313,6 +357,16 @@ def test_expurgated_against_dense_slope_scan(p):
         scan = float(np.max(_expurgated_direct(p, rate, s)))
         assert closed == pytest.approx(scan, abs=1e-8), (p, rate)
         assert scan <= closed + 1e-12, (p, rate, scan - closed)
+
+
+def test_expurgated_never_negative():
+    # with the slope at s = 1 the expurgated form falls below 0 at rates
+    # above -log2(1/2 + x/2); the exponent is clamped there like E_r
+    assert expurgated_exponent(0.5, 0.3) == 0.0
+    assert expurgated_exponent(0.11, 0.9) == 0.0
+    for p in np.linspace(0.0, 0.5, 26):
+        for rate in np.linspace(0.0, 1.0, 41):
+            assert expurgated_exponent(float(p), float(rate)) >= 0.0, (p, rate)
 
 
 def test_expurgated_zero_rate_slope_cap():

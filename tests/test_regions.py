@@ -23,9 +23,9 @@ from bindht.exponents import (
     _ball_type_vec,
     _gv_vec,
     _h_vec,
+    best_channel_exponent,
     type_noise_ball_exponent,
 )
-from bindht.optim import golden_min
 from bindht.regions import (
     SCHEMES,
     CurvePoint,
@@ -34,6 +34,7 @@ from bindht.regions import (
     SchemeParams,
     _binning_rows,
     _conv_vec,
+    _shell_row_min,
     _spectrum_min,
     _symmetric_stein,
     baseline_pair,
@@ -75,6 +76,35 @@ def sigma_han(h, a):
 def sigma_sha_term(rate, a, p0):
     """Rate-limited binning term R - h(a * p0) + h(a)."""
     return rate - binary_entropy(binary_convolution(a, p0)) + binary_entropy(a)
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_min(f, lo, hi, tol=1e-8, max_iter=200):
+    """Scalar golden-section minimum of a unimodal f on [lo, hi]; the
+    endpoints are always evaluated and the best evaluated point wins."""
+    if hi <= lo:
+        x = 0.5 * (lo + hi)
+        return x, f(x)
+    a, b = lo, hi
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = f(x1), f(x2)
+    it = 0
+    while b - a > tol and it < max_iter:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = f(x2)
+        it += 1
+    cands = [(f(lo), lo), (f(hi), hi), (f1, x1), (f2, x2)]
+    fbest, xbest = min(cands, key=lambda t: t[0])
+    return xbest, fbest
 
 
 def sigma_sha(h, rate_x):
@@ -259,6 +289,87 @@ def test_spectrum_closed_form_against_grid_search(p1):
     if p1 >= 0.1:
         gap = (want - got)[~below].max()
         assert gap <= 1e-7, f"search above the closed form by {gap:.3e}"
+
+
+def _shell_grid_min(p, a, w, theta):
+    """Ball-noise ball exponent by search: a 49-point grid in r on [0, a],
+    then one 25-point windowed refinement around the best point."""
+    h_a = _h_vec(a)[:, None]
+    t = np.linspace(0.0, 1.0, 49)
+    rs = a[:, None] * t[None, :]
+    obj = h_a - _h_vec(rs) + _ball_type_vec(p, rs, w[:, None], theta[:, None])
+    i = np.argmin(obj, axis=1)
+    best = np.take_along_axis(obj, i[:, None], axis=1)[:, 0]
+    span = a / (len(t) - 1)
+    centers = np.take_along_axis(rs, i[:, None], axis=1)[:, 0]
+    lo = np.maximum(0.0, centers - span)
+    hi = np.minimum(a, centers + span)
+    t2 = np.linspace(0.0, 1.0, 25)
+    rs = lo[:, None] + t2[None, :] * (hi - lo)[:, None]
+    obj = h_a - _h_vec(rs) + _ball_type_vec(p, rs, w[:, None], theta[:, None])
+    return np.maximum(np.minimum(best, obj.min(axis=1)), 0.0)
+
+
+def _shell_scan_min(p, a, w, theta, npts=40001):
+    """Ball-noise ball exponent by a dense scan of r over [0, a], per row."""
+    out = []
+    for ak, wk, tk in zip(a, w, theta):
+        rs = np.linspace(0.0, ak, npts)
+        vals = _h_vec(ak) - _h_vec(rs) + _ball_type_vec(p, rs, wk, tk)
+        out.append(max(float(vals.min()), 0.0))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("p0, p1", [(0.01, 0.1), (0.01, 0.25), (0.05, 0.4)])
+def test_shell_closed_form_against_searches(p0, p1):
+    # The closed form puts the minimum over the noise type r at the
+    # typical type r* = theta' * w * p when r* <= a, with value
+    # h(a) - h(theta'), and at r = a elsewhere.  Rows are the two ball
+    # terms of one_sided_pair: w = 0 at p1 with threshold theta, and
+    # w = 1 at p0 with threshold 1 - theta.  For theta in the scheme's
+    # range [a * p0, a * p1], r* exceeds a unless a = 1/2, so the w = 0
+    # rows also take thresholds down to 0 (at p0 and p1) to reach
+    # r* < a.  The grid can only sit above the closed form; where r* > a
+    # both evaluate the r = a point.
+    rng = np.random.default_rng(20181018)
+    n = 40
+    a = rng.uniform(0.0, 0.5, n)
+    a[0] = 0.5
+    lo, hi = _conv_vec(a, p0), _conv_vec(a, p1)
+    in_range = rng.uniform(lo, hi)
+    low = rng.uniform(0.0, hi)
+    counts = {True: 0, False: 0}
+    for p, w, theta in (
+        (p1, 0.0, in_range), (p1, 0.0, low), (p0, 0.0, low),
+        (p0, 1.0, 1.0 - in_range),
+    ):
+        w = np.full(n, w)
+        got = _shell_row_min(p, a, w, theta)
+        grid = _shell_grid_min(p, a, w, theta)
+        assert np.all(got <= grid + 1e-12), float((got - grid).max())
+        r_star = _conv_vec(_conv_vec(np.minimum(theta, 0.5), w), p)
+        interior = r_star <= a
+        counts[True] += int(interior.sum())
+        counts[False] += int((~interior).sum())
+        gap = np.abs(got - grid)[~interior].max(initial=0.0)
+        assert gap <= 1e-12, f"closed form off the grid at r = a by {gap:.3e}"
+        scan = _shell_scan_min(p, a, w, theta)
+        gap = np.abs(got - scan).max()
+        assert gap <= 1e-8, f"closed form off the dense scan by {gap:.3e}"
+    assert counts[True] >= 10 and counts[False] >= 10, counts
+
+
+def test_one_sided_pair_noiseless_null_is_exact():
+    # At p0 = 0 the null noise word is U alone, so with a > 0 the
+    # false-alarm ball term is 0 at theta = a and +inf above it: e0 is
+    # then the channel exponent of the bin code alone.
+    h = HypothesisPair(0.0, 0.25)
+    params = SchemeParams(a=0.1, theta=0.1, rate_x=0.3)
+    assert one_sided_pair(h, params).e0 == 0.0
+    for theta in (0.10001, 0.11, 0.2):
+        params = SchemeParams(a=0.1, theta=theta, rate_x=0.3)
+        want = best_channel_exponent(0.1, params.rate_bin)
+        assert one_sided_pair(h, params).e0 == pytest.approx(want, abs=1e-12)
 
 
 def test_stein_pinned_references():
