@@ -167,6 +167,16 @@ def cmd_tradeoff(args):
     return 0
 
 
+def _trial_line(r):
+    """One trial record as a JSON line, formatted as ``json.dumps`` would."""
+    return (
+        f'{{"hyp": {r.true_hypothesis}, '
+        f'"bin_error": {int(r.bin_decoding_error)}, "decided": {r.decided}, '
+        f'"noise_weight": {round(r.noise_weight_norm, 12)!r}, '
+        f'"decoded_weight": {round(r.decoded_weight_norm, 12)!r}}}\n'
+    )
+
+
 def cmd_simulate(args):
     p0, p1, rate = _need(args, "p0", "p1", "rate")
     if args.threshold is None:
@@ -190,14 +200,7 @@ def cmd_simulate(args):
     est = estimate_errors(records, args.n)
     if args.trial_stream:
         with open(args.trial_stream, "w", encoding="utf-8", newline="\n") as f:
-            for r in records:
-                f.write(json.dumps({
-                    "hyp": r.true_hypothesis,
-                    "bin_error": int(r.bin_decoding_error),
-                    "decided": r.decided,
-                    "noise_weight": round(r.noise_weight_norm, 12),
-                    "decoded_weight": round(r.decoded_weight_norm, 12),
-                }) + "\n")
+            f.writelines(_trial_line(r) for r in records)
     headers = (
         "scheme", "n", "trials", "seed", "eps0", "ci0_lo", "ci0_hi",
         "eps1", "ci1_lo", "ci1_hi", "exponent0", "exponent1",

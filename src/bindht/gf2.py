@@ -6,7 +6,7 @@ code is stored through its generator and parity-check matrices; the
 parity check fixes a syndrome map s(x) = x H^T whose bit i is the
 parity of row i against x.  Coset leaders (minimum-weight coset
 members, ties to the lexicographically smallest vector) come from a
-table built by walking weight classes in lexicographic order, cached
+table built by a breadth-first search over the syndrome space, cached
 per code.
 
 ``build_nested`` draws a pair of codes sharing generator rows so the
@@ -34,6 +34,9 @@ _TABLE_BITS = 22
 
 #: widest syndrome for which per-query leader search is attempted
 _SEARCH_BITS = 28
+
+#: frontier syndromes expanded at once by the leader-table search
+_BFS_CHUNK = 1024
 
 #: largest code dimension for exhaustive spectrum enumeration
 _SPECTRUM_DIM = 24
@@ -167,6 +170,8 @@ class LinearCode:
             raise ParameterError("parity-check shape mismatch")
         if _rank(self.G.bits) != self.k:
             raise ParameterError("generator is rank deficient")
+        if _rank(self.H.bits) != self.n - self.k:
+            raise ParameterError("parity check is rank deficient")
         for g in self.G.bits:
             for h in self.H.bits:
                 if (g & h).bit_count() & 1:
@@ -279,45 +284,71 @@ def _popcount64(v):
 def _leader_data(code):
     """Leader table (packed leaders, weights) indexed by syndrome.
 
-    Weight classes are walked in increasing weight, so the first class
-    hitting a syndrome fixes the leader weight.  Within that class the
-    lexicographic order of coordinate tuples is the order of the
-    bit-reversed packed value, so ties keep the candidate with the
-    smallest reversed value.
+    Leaders minimize (weight, rho), where rho(v) = sum over j in v of
+    2^(n-1-j) is the bit-reversed packed value, whose order is the
+    lexicographic order of coordinate tuples.  The table is filled by a
+    breadth-first search over the syndrome space: level w starts from
+    the syndromes first reached at weight w - 1, each holding its least
+    rho, and every such syndrome s proposes s ^ c_j with
+    rho(s) | 2^(n-1-j) for every unit syndrome c_j.  Each syndrome not
+    yet reached keeps the least proposal; reached syndromes are masked
+    out, since a heavier word can have a smaller rho.
+
+    The search is exact because rho is additive over disjoint
+    coordinates.  Let L be the least weight-w member of coset t and take
+    j in L.  Then t ^ c_j has minimum weight exactly w - 1, and L - {j}
+    is its least member: a smaller weight-(w - 1) member M would give
+    the smaller member M + {j} of t when j is not in M, and the
+    weight-(w - 2) member M - {j} of t when it is.  So L itself is
+    proposed from level w - 1, and every unmasked proposal is a
+    weight-w member of its coset.  The frontier is processed in chunks,
+    so transient memory is O(chunk * n) on top of the tables.
     """
-    m = code.n - code.k
-    if code.n > 64:
+    n = code.n
+    if n > 64:
         raise ResourceLimitError("leader tables support blocklengths up to 64")
-    size = 1 << m
-    leaders = np.zeros(size, dtype=np.uint64)
+    size = 1 << (n - code.k)
+    unit_syn = np.array(
+        [syndrome(code, 1 << j) for j in range(n)], dtype=np.intp
+    )
+    rev_unit = np.array([1 << (n - 1 - j) for j in range(n)], dtype=np.uint64)
+    rho = np.full(size, np.iinfo(np.uint64).max, dtype=np.uint64)
+    rho[0] = 0
     weights = np.zeros(size, dtype=np.uint8)
-    revs = np.zeros(size, dtype=np.uint64)
-    seen = np.zeros(size, dtype=bool)
-    seen[0] = True
+    reached = np.zeros(size, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
     remaining = size - 1
-    unit_syn = [syndrome(code, 1 << j) for j in range(code.n)]
-    rev_unit = [1 << (code.n - 1 - j) for j in range(code.n)]
-    for w in range(1, code.n + 1):
-        if not remaining:
-            break
-        for combo in itertools.combinations(range(code.n), w):
-            s = 0
-            v = 0
-            rv = 0
-            for j in combo:
-                s ^= unit_syn[j]
-                v |= 1 << j
-                rv |= rev_unit[j]
-            if not seen[s]:
-                seen[s] = True
-                leaders[s] = v
-                weights[s] = w
-                revs[s] = rv
-                remaining -= 1
-            elif weights[s] == w and rv < revs[s]:
-                leaders[s] = v
-                revs[s] = rv
-    return leaders, weights
+    w = 0
+    # H has full rank (LinearCode checks it), so every syndrome is reached
+    while remaining:
+        w += 1
+        for lo in range(0, frontier.size, _BFS_CHUNK):
+            rows = frontier[lo:lo + _BFS_CHUNK]
+            t = (rows[:, None] ^ unit_syn).ravel()
+            keep = ~reached[t]
+            t = t[keep]
+            props = (rho[rows][:, None] | rev_unit).ravel()[keep]
+            np.minimum.at(rho, t, props)
+            weights[t] = w
+        frontier = np.flatnonzero(weights == w)
+        reached[frontier] = True
+        remaining -= frontier.size
+    # reversing the bits of rho in place turns it into the packed
+    # leaders: swap adjacent bits, then pairs, then nibbles, then bytes,
+    # and drop the 64 - n unused low bits
+    scratch = np.empty_like(rho)
+    for shift, mask in ((1, 0x5555555555555555), (2, 0x3333333333333333),
+                        (4, 0x0F0F0F0F0F0F0F0F)):
+        shift, mask = np.uint64(shift), np.uint64(mask)
+        np.right_shift(rho, shift, out=scratch)
+        scratch &= mask
+        rho &= mask
+        rho <<= shift
+        rho |= scratch
+    rho.byteswap(inplace=True)
+    rho >>= np.uint64(64 - n)
+    return rho, weights
 
 
 def coset_table(code):

@@ -19,6 +19,7 @@ from bindht.regions import (
     stein_columns,
     unconstrained_pair,
 )
+from bindht.simkit import TrialRecord
 
 
 def _run(capsys, *argv):
@@ -234,6 +235,23 @@ def test_simulate_trial_stream(tmp_path, capsys):
     row = dict(zip(headers, rows[0]))
     eps0 = sum(r["decided"] for r in recs[:200]) / 200
     assert float(row["eps0"]) == pytest.approx(eps0, abs=1e-12)
+
+
+def test_trial_line_matches_json_dumps():
+    # every normalized weight k/n for blocklengths 1, 27 and 64, in both
+    # record slots, with both values of every flag
+    for n in (1, 27, 64):
+        for k in range(n + 1):
+            for hyp, err, dec in ((0, False, 0), (1, True, 1)):
+                rec = TrialRecord(hyp, err, dec, k / n, (n - k) / n)
+                want = json.dumps({
+                    "hyp": rec.true_hypothesis,
+                    "bin_error": int(rec.bin_decoding_error),
+                    "decided": rec.decided,
+                    "noise_weight": round(rec.noise_weight_norm, 12),
+                    "decoded_weight": round(rec.decoded_weight_norm, 12),
+                }) + "\n"
+                assert bindht.cli._trial_line(rec) == want
 
 
 def test_simulate_korner_marton_rejects_quantization(capsys):

@@ -6,6 +6,8 @@ lexicographic order) on a handful of random codes, since everything
 downstream trusts the tables.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -35,6 +37,7 @@ from bindht.gf2 import (
     syndrome_increment,
     syndromes,
     unpack_bits,
+    _popcount64,
 )
 
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64)
@@ -97,6 +100,87 @@ def test_coset_leaders_match_brute_force(n, k, seed):
         assert int(leaders[s]) == v
         assert int(weights[s]) == bin(v).count("1")
         assert coset_leader(code, s) == v
+
+
+def _leader_walk(code):
+    """Leader table by walking weight classes in lexicographic order.
+
+    The first class hitting a syndrome fixes its leader weight; within
+    that class ties keep the smallest bit-reversed packed value, which
+    orders coordinate tuples lexicographically.
+    """
+    size = 1 << (code.n - code.k)
+    leaders = np.zeros(size, dtype=np.uint64)
+    weights = np.zeros(size, dtype=np.uint8)
+    revs = np.zeros(size, dtype=np.uint64)
+    seen = np.zeros(size, dtype=bool)
+    seen[0] = True
+    remaining = size - 1
+    unit_syn = [syndrome(code, 1 << j) for j in range(code.n)]
+    rev_unit = [1 << (code.n - 1 - j) for j in range(code.n)]
+    for w in range(1, code.n + 1):
+        if not remaining:
+            break
+        for combo in itertools.combinations(range(code.n), w):
+            s = 0
+            v = 0
+            rv = 0
+            for j in combo:
+                s ^= unit_syn[j]
+                v |= 1 << j
+                rv |= rev_unit[j]
+            if not seen[s]:
+                seen[s] = True
+                leaders[s] = v
+                weights[s] = w
+                revs[s] = rv
+                remaining -= 1
+            elif weights[s] == w and rv < revs[s]:
+                leaders[s] = v
+                revs[s] = rv
+    return leaders, weights
+
+
+@pytest.mark.parametrize("n,k,seed", [
+    (6, 6, 0), (12, 1, 3), (1, 1, 0), (64, 50, 0),
+    (23, 14, 0), (31, 19, 0), (23, 9, 0),
+])
+def test_coset_table_matches_walk(n, k, seed):
+    code = sample_random_linear_code(n, k, seed=seed)
+    leaders, weights = coset_table(code)
+    want_leaders, want_weights = _leader_walk(code)
+    assert leaders.dtype == want_leaders.dtype == np.uint64
+    assert weights.dtype == want_weights.dtype == np.uint8
+    assert np.array_equal(leaders, want_leaders)
+    assert np.array_equal(weights, want_weights)
+
+
+def _coset_weights_bfs(code):
+    """Minimum coset weights by a breadth-first search over syndromes:
+    level w holds the syndromes first reached by adding one column of H
+    to level w - 1, deduplicated with np.unique chunk by chunk."""
+    cols = np.array([syndrome(code, 1 << j) for j in range(code.n)])
+    dist = np.full(1 << (code.n - code.k), -1, dtype=np.int64)
+    dist[0] = 0
+    level = np.zeros(1, dtype=np.int64)
+    w = 0
+    while level.size:
+        w += 1
+        for lo in range(0, level.size, 4096):
+            nxt = (level[lo:lo + 4096, None] ^ cols).ravel()
+            dist[np.unique(nxt[dist[nxt] < 0])] = w
+        level = np.flatnonzero(dist == w)
+    return dist
+
+
+def test_coset_table_wide_syndromes():
+    # m = n - k = 20: a million syndromes, far beyond brute force
+    code = sample_random_linear_code(48, 28, seed=0)
+    leaders, weights = coset_table(code)
+    size = 1 << 20
+    assert np.array_equal(syndromes(code, leaders), np.arange(size))
+    assert np.array_equal(_popcount64(leaders), weights)
+    assert np.array_equal(weights, _coset_weights_bfs(code))
 
 
 def test_quantize_moves_to_nearest_codeword():
@@ -224,6 +308,10 @@ def test_diagnostics_consistency():
 
 def test_validation_errors():
     code = sample_random_linear_code(10, 4, seed=0)
+    with pytest.raises(ParameterError):
+        # the two parity-check rows coincide, so syndrome 0b10 is unreachable
+        LinearCode(n=3, k=1, G=BitMatrix.from_rows([0b111], 3),
+                   H=BitMatrix.from_rows([0b011, 0b011], 3))
     with pytest.raises(LengthMismatchError):
         syndrome(code, 1 << 10)
     with pytest.raises(LengthMismatchError):
