@@ -1,11 +1,17 @@
-"""Scalar binary-alphabet information quantities.
+"""Binary-alphabet information quantities.
 
 Everything is measured in bits (all logarithms base 2).  Probabilities
 live in [0, 1]; the conventions 0*log(0) = 0 and d(p||q) = +inf for
-q in {0, 1} with p != q are applied throughout.
+q in {0, 1} with p != q are applied throughout.  The scalar functions
+check their domain; the two array helpers, `xlogy` and
+`inverse_binary_entropy_vec`, are the elementwise building blocks of
+the exponent kernels and trust their callers.
 """
 
 import math
+import sys
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -13,6 +19,7 @@ from .errors import ParameterError
 DOMAIN_TOL = 1e-9
 
 _LN2 = math.log(2.0)
+_LN4 = math.log(4.0)
 
 
 def _check_unit(x, name):
@@ -84,3 +91,49 @@ def gv_distance(rate):
     if not (-DOMAIN_TOL <= rate <= 1.0 + DOMAIN_TOL):
         raise ParameterError(f"rate={rate!r} outside [0, 1]")
     return inverse_binary_entropy(1.0 - min(max(rate, 0.0), 1.0))
+
+
+# ---------------------------------------------------------------------------
+# array helpers
+
+def xlogy(x, y):
+    """x * ln(y) elementwise, and 0 wherever x == 0.
+
+    Natural logarithm, as in ``scipy.special.xlogy``.  Where x == 0 the
+    result is 0 whatever y is, NaN included (scipy gives NaN for a NaN
+    y); a NaN x gives NaN.  Where x != 0, y <= 0 gets np.log's -inf or
+    NaN and its RuntimeWarning: no caller in this package makes such a
+    pair.
+    """
+    out = np.log(np.where(x != 0, y, 1.0))
+    out *= x
+    return out
+
+
+def inverse_binary_entropy_vec(y):
+    """The p in [0, 1/2] with h(p) = y, elementwise, by Newton's method.
+
+    h is concave and increasing on [0, 1/2], so Newton steps taken from
+    below stay below the root and rise to it.  The start is Topsoe's
+    bound h(p) <= (4 p (1 - p))^(1/ln 4), solved for p, which lies below
+    the root and matches h to second order at 1/2, where the inverse is
+    ill-conditioned.  Four steps leave an h-residual of at most 4.4e-16;
+    the result then matches a 60-step bisection to 4e-14 for y <= 1 -
+    1e-6, and to the conditioning limit of a few 1e-9 closer to 1.  The
+    start is floored at the smallest normal float, so no logarithm sees
+    0 and nothing warns; y = 0 gives exactly 0 and y = 1 exactly 1/2.
+    Inputs are clipped to [0, 1].
+    """
+    y = np.clip(np.asarray(y, float), 0.0, 1.0)
+    u = y ** _LN4
+    x = np.maximum(0.5 * u / (1.0 + np.sqrt(1.0 - u)), sys.float_info.min)
+    for _ in range(4):
+        lx = np.log(x)
+        l1 = np.log1p(-x)
+        slope = l1 - lx  # ln 2 * h'(x), 0 only at x = 1/2
+        step = np.divide(
+            _LN2 * y + x * lx + (1.0 - x) * l1, slope,
+            out=np.zeros_like(x), where=slope > 0.0,
+        )
+        x = np.clip(x + step, sys.float_info.min, 0.5)
+    return np.where(y > 0.0, x, 0.0)

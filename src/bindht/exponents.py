@@ -33,8 +33,8 @@ the clipped target.
 import math
 
 import numpy as np
-from scipy.special import xlogy
 
+from .binmath import inverse_binary_entropy_vec, xlogy
 from .errors import ParameterError
 from .optim import golden_min_vec
 
@@ -64,19 +64,6 @@ def _h_vec(u):
 def _conv_vec(u, p):
     """Binary convolution u * p = u (1 - p) + p (1 - u), elementwise."""
     return u + p - 2.0 * p * u
-
-
-def _gv_vec(rates):
-    """gv_distance elementwise: bisect h(x) = 1 - rate on [0, 1/2]."""
-    target = 1.0 - np.asarray(rates, float)
-    lo = np.zeros_like(target)
-    hi = np.full_like(target, 0.5)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = _h_vec(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
 
 
 def _persp_db(x, alpha, p):
@@ -327,7 +314,7 @@ def ball_exponent_forms(p, a, w, theta):
 # ---------------------------------------------------------------------------
 # BSC channel-coding exponents
 
-def _channel_exponents_vec(p, rate):
+def _channel_exponents_vec(p, rate, delta=None):
     """Random-coding and expurgated exponents of the BSC, elementwise.
 
     Gallager's closed forms (Information Theory and Reliable
@@ -348,7 +335,8 @@ def _channel_exponents_vec(p, rate):
     at rates above -log2(1/2 + x/2).
 
     p = 0 gives 1 - rate and (1 - rate) RHO_MAX; p = 1/2 (x = 1) puts
-    s at 1.  Inputs are clipped to p in [0, 1/2] and rate in [0, 1].
+    s at 1.  Inputs are clipped to p in [0, 1/2] and rate in [0, 1].  A
+    caller that already holds delta for the clipped rate passes it in.
     """
     p, rate = np.broadcast_arrays(
         np.clip(np.asarray(p, float), 0.0, 0.5),
@@ -356,7 +344,8 @@ def _channel_exponents_vec(p, rate):
     )
     pos = p > 0.0
     ps = np.where(pos, p, 0.25)
-    delta = _gv_vec(rate)
+    if delta is None:
+        delta = inverse_binary_entropy_vec(1.0 - rate)
     sq, sq_c = np.sqrt(ps), np.sqrt(1.0 - ps)
     r_crit = 1.0 - _h_vec(sq / (sq + sq_c))
     sphere = (
@@ -402,7 +391,10 @@ def best_channel_exponent(p, rate):
     return max(float(er), float(ex), 0.0)
 
 
-def best_channel_exponent_vec(p, rate):
-    """Elementwise best_channel_exponent over broadcast arrays."""
-    er, ex = _channel_exponents_vec(p, rate)
+def best_channel_exponent_vec(p, rate, delta=None):
+    """Elementwise best_channel_exponent over broadcast arrays.
+
+    delta, if given, is delta_GV(rate) for the rate clipped to [0, 1].
+    """
+    er, ex = _channel_exponents_vec(p, rate, delta)
     return np.maximum(np.maximum(er, ex), 0.0)

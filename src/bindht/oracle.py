@@ -8,8 +8,8 @@ s + W1 - W2 with s = nw + na - 2m, W1 ~ Bin(n - s, p) counting flips
 off the combined support and W2 ~ Bin(s, p) counting flips on it, while
 m itself is hypergeometric.  Everything here sums that decomposition
 exactly, either with integer binomial coefficients (small n) or in the
-log domain with gammaln (large n), so tail values far below the float
-underflow threshold remain usable through their log2.
+log domain from a table of log-factorials (large n), so tail values far
+below the float underflow threshold remain usable through their log2.
 
 ``enumerate_mixed_noise_pmf`` is an independent route used to validate
 the decomposition: it iterates U over the whole type class and Z over
@@ -25,7 +25,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ParameterError, ResourceLimitError
 
@@ -37,6 +36,9 @@ ENUM_MAX_N = 12
 
 #: (U, Z) pairs handled per vectorised step of the enumeration
 _ENUM_BLOCK = 1 << 18
+
+#: _LOG_FACT[k] = ln(k!), extended by doubling when a larger k arrives
+_LOG_FACT = np.zeros(1)
 
 
 @dataclass(frozen=True)
@@ -70,17 +72,26 @@ def _require_int(name, v):
 
 
 def _log_comb(n, k):
-    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    """ln C(n, k) for an integer n and integers 0 <= k <= n (scalar or array)."""
+    global _LOG_FACT
+    size = len(_LOG_FACT)
+    if n >= size:
+        grown = max(n + 1, 2 * size)
+        _LOG_FACT = np.concatenate([
+            _LOG_FACT,
+            [math.lgamma(i + 1.0) for i in range(size, grown)],
+        ])
+    return _LOG_FACT[n] - _LOG_FACT[k] - _LOG_FACT[n - k]
 
 
 def _overlap_range(n, na, nw):
-    return max(0, na + nw - n), min(na, nw)
+    """Half-open range of the support overlap m of weights na and nw."""
+    return max(0, na + nw - n), min(na, nw) + 1
 
 
 def _log_hyp_weights(n, na, nw):
     """Log-probabilities of the support overlap m, plus the m grid."""
-    m_lo, m_hi = _overlap_range(n, na, nw)
-    ms = np.arange(m_lo, m_hi + 1)
+    ms = np.arange(*_overlap_range(n, na, nw))
     logs = (
         _log_comb(nw, ms) + _log_comb(n - nw, na - ms) - _log_comb(n, na)
     )
@@ -102,13 +113,12 @@ def _logsumexp(v):
 
 def _pmf_vector_linear(n, na, nw, p):
     """Exact pmf of the resulting weight over 0..n; integer combinatorics."""
-    ms, _ = _log_hyp_weights(n, na, nw)
     denom = math.comb(n, na)
     pmf = np.zeros(n + 1)
     q = 1.0 - p
     pows_p = p ** np.arange(n + 1)
     pows_q = q ** np.arange(n + 1)
-    for m in ms:
+    for m in range(*_overlap_range(n, na, nw)):
         s = nw + na - 2 * m
         hyp = math.comb(nw, m) * math.comb(n - nw, na - m) / denom
         w2 = np.array(
@@ -151,10 +161,9 @@ def exact_mixed_noise_pmf(query):
 
 def _pmf_vector_degenerate(n, na, nw, p):
     """p in {0, 1}: only the hypergeometric overlap is random."""
-    ms, _ = _log_hyp_weights(n, na, nw)
     denom = math.comb(n, na)
     pmf = np.zeros(n + 1)
-    for m in ms:
+    for m in range(*_overlap_range(n, na, nw)):
         s = nw + na - 2 * m
         t = s if p == 0.0 else n - s
         pmf[t] += math.comb(nw, m) * math.comb(n - nw, na - m) / denom

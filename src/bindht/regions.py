@@ -29,12 +29,12 @@ from .binmath import (
     binary_divergence,
     binary_entropy,
     gv_distance,
+    inverse_binary_entropy_vec,
 )
 from .errors import ParameterError
 from .exponents import (
     _ball_type_vec,
     _conv_vec,
-    _gv_vec,
     _h_vec,
     _shell_row_min,
     best_channel_exponent_vec,
@@ -196,11 +196,15 @@ def _binning_rows(p1, a, theta, rate_bin):
     a = np.asarray(a, float)
     theta = np.asarray(theta, float)
     rate_bin = np.clip(np.asarray(rate_bin, float), 0.0, 1.0)
+    delta = inverse_binary_entropy_vec(1.0 - rate_bin)
     # Every caller has rate_bin <= 1 - h(a), so the covering radius is
-    # at least a; the clamp only removes bisection rounding near a = 1/2.
-    w_lo = np.maximum(_gv_vec(rate_bin), a)
+    # at least a; the clamp only removes rounding of the inverse near
+    # a = 1/2.
+    w_lo = np.maximum(delta, a)
     branch_spec = -rate_bin + _spectrum_min(p1, a, theta, w_lo)
-    branch_chan = best_channel_exponent_vec(_conv_vec(a, p1), rate_bin)
+    branch_chan = best_channel_exponent_vec(
+        _conv_vec(a, p1), rate_bin, delta
+    )
     return np.maximum(np.maximum(branch_spec, branch_chan), 0.0)
 
 

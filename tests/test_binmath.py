@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, strategies as st
 
 from bindht.binmath import (
@@ -12,6 +13,8 @@ from bindht.binmath import (
     binary_entropy,
     gv_distance,
     inverse_binary_entropy,
+    inverse_binary_entropy_vec,
+    xlogy,
 )
 from bindht.errors import ParameterError
 
@@ -127,3 +130,73 @@ def test_gv_distance_monotone():
 def test_domain_errors(fn, arg):
     with pytest.raises(ParameterError):
         fn(arg)
+
+
+def test_xlogy_against_scipy():
+    rng = np.random.default_rng(20181004)
+    tiny = math.ulp(0.0)
+    specials = np.array([0.0, tiny, 1e-310, 1e-300, 0.5, 1.0])
+    x = np.concatenate([rng.uniform(0.0, 1.0, 100_000), specials, specials])
+    y = np.concatenate([rng.uniform(0.0, 1.0, 100_000), specials, [1.0] * 6])
+    ref = scipy.special.xlogy(x, y)
+    # numpy's log and the C library's each round, so the two products
+    # may sit on either side of the exact one: 2 ulps apart at most
+    np.testing.assert_array_max_ulp(xlogy(x, y), ref, maxulp=2)
+    np.testing.assert_array_max_ulp(xlogy(x, x), scipy.special.xlogy(x, x), 2)
+    # 0 wherever x == 0, whatever y is (scipy gives NaN for y = NaN)
+    zero = xlogy(np.zeros(5), np.array([0.0, 1.0, np.inf, -1.0, np.nan]))
+    assert np.array_equal(zero, np.zeros(5))
+    assert np.isnan(xlogy(np.nan, 0.5))
+    assert xlogy(2.0, 1.0) == 0.0
+    outer = xlogy(np.array([[1.0], [0.0]]), np.array([0.5, 0.25]))
+    assert outer.shape == (2, 2)
+
+
+def _h_reference(u):
+    xlogy_ref = scipy.special.xlogy
+    return -(xlogy_ref(u, u) + xlogy_ref(1.0 - u, 1.0 - u)) / math.log(2.0)
+
+
+def _gv_bisection(rates):
+    """The 60-step vector bisection of h(x) = 1 - rate on [0, 1/2]."""
+    target = 1.0 - np.asarray(rates, float)
+    lo = np.zeros_like(target)
+    hi = np.full_like(target, 0.5)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = _h_reference(mid) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_inverse_entropy_vec_against_bisection():
+    rng = np.random.default_rng(7)
+    rates = np.concatenate([
+        rng.uniform(0.0, 1.0, 50_000),
+        10.0 ** rng.uniform(-6.0, 0.0, 10_000),
+        1.0 - 10.0 ** rng.uniform(-15.0, 0.0, 10_000),
+        [1e-6, 0.5, 1.0 - 2.0 ** -52],
+    ])
+    got = inverse_binary_entropy_vec(1.0 - rates)
+    assert np.max(np.abs(got - _gv_bisection(rates))) <= 1e-13
+    assert np.max(np.abs(_h_reference(got) - (1.0 - rates))) <= 1e-15
+    # below rate 1e-6 the inverse is ill-conditioned near 1/2
+    small = np.concatenate([10.0 ** rng.uniform(-16.0, -6.0, 1000), [0.0]])
+    got = inverse_binary_entropy_vec(1.0 - small)
+    assert np.max(np.abs(got - _gv_bisection(small))) <= 1e-8
+    assert np.all((got >= 0.0) & (got <= 0.5))
+
+
+def test_inverse_entropy_vec_endpoints_and_monotone():
+    got = inverse_binary_entropy_vec(np.array([1.0, 0.0, 1.5, -0.5]))
+    assert got.tolist() == [0.5, 0.0, 0.5, 0.0]
+    rng = np.random.default_rng(8)
+    rates = np.sort(np.concatenate([
+        np.linspace(0.0, 1.0, 100_001), rng.uniform(0.0, 1.0, 100_000),
+    ]))
+    deltas = inverse_binary_entropy_vec(1.0 - rates)
+    assert np.all(np.diff(deltas) <= 0.0)
+    assert float(inverse_binary_entropy_vec(0.7)) == pytest.approx(
+        gv_distance(0.3), abs=1e-12
+    )

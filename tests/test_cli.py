@@ -321,6 +321,35 @@ def test_module_entry_point_runs_validate():
     assert "5/5 checks passed" in proc.stdout
 
 
+_SCIPY_PROBE = """
+import runpy, sys
+if len(sys.argv) > 1:
+    sys.argv[0] = "bindht"
+    try:
+        runpy.run_module("bindht", run_name="__main__", alter_sys=True)
+    except SystemExit as stop:
+        assert not stop.code, stop.code
+else:
+    import bindht
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["stein", "--preset", "fig2a", "--p0", "0.0275"],
+], ids=["import", "help", "stein"])
+def test_runtime_does_not_import_scipy(argv):
+    paths = [str(Path(bindht.__file__).resolve().parents[1])]
+    paths += filter(None, [os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "[]", proc.stderr
+
+
 def test_presets_cover_figure_parameters():
     assert set(PRESETS) == {"fig2a", "fig2b", "fig3a", "fig3b"}
     for cfg in PRESETS.values():

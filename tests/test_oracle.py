@@ -10,12 +10,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import binom
 
 from bindht.errors import ParameterError, ResourceLimitError
 from bindht.oracle import (
     ExactPmfQuery,
     _enumerate_counts,
+    _log_comb,
     enumerate_mixed_noise_pmf,
     exact_ball_log2_prob,
     exact_ball_prob,
@@ -152,6 +154,24 @@ def test_ball_log_matches_linear_sum():
         want = math.fsum(vec[: nt + 1])
         got = exact_ball_log2_prob(n, na, nw, nt, p)
         assert 2.0 ** got == pytest.approx(want, rel=1e-10)
+
+
+def test_log_comb_against_exact_integers():
+    for n in range(201):
+        ks = np.arange(n + 1)
+        want = np.array([math.log(math.comb(n, int(k))) for k in ks])
+        np.testing.assert_allclose(_log_comb(n, ks), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1000, 65_537, 200_000])
+def test_log_comb_against_gammaln(n):
+    ks = np.arange(n + 1)
+    want = gammaln(n + 1.0) - gammaln(ks + 1.0) - gammaln(n - ks + 1.0)
+    # both forms subtract three rounded values of size ln(n!), so they
+    # agree to a few of its ulps (1.9e-9 at n = 2e5) and no closer
+    tol = max(1e-9, 4.0 * np.spacing(gammaln(n + 1.0)))
+    np.testing.assert_allclose(_log_comb(n, ks), want, rtol=0.0, atol=tol)
+    assert _log_comb(n, 0) == 0.0 and _log_comb(n, n) == 0.0
 
 
 def test_ball_log_large_n_underflow_safe():

@@ -16,12 +16,12 @@ from bindht.binmath import (
     binary_divergence,
     binary_entropy,
     gv_distance,
+    inverse_binary_entropy_vec,
 )
 import bindht
 from bindht.errors import ParameterError
 from bindht.exponents import (
     _ball_type_vec,
-    _gv_vec,
     _h_vec,
     best_channel_exponent,
     type_noise_ball_exponent,
@@ -274,7 +274,7 @@ def test_spectrum_closed_form_against_grid_search(p1):
     # cubed so that low bin rates, whose covering radius can exceed w*
     # at large p1, are well represented
     rate_bin = rng.uniform(0.0, 1.0, n) ** 3 * (1.0 - _h_vec(a))
-    w_lo = _gv_vec(rate_bin)
+    w_lo = inverse_binary_entropy_vec(1.0 - rate_bin)
     got = _spectrum_min(p1, a, theta, w_lo)
     want = _spectrum_grid_min(p1, a, theta, w_lo)
     w_star = np.array([
