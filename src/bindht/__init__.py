@@ -70,7 +70,7 @@ from .regions import (
 from .simkit import (
     ErrorEstimate,
     SimConfig,
-    TrialRecord,
+    TrialRecords,
     decoded_weights,
     estimate_errors,
     gen_dsbs,
@@ -97,7 +97,7 @@ __all__ = [
     "SchemeParams",
     "SimConfig",
     "TradeoffCurve",
-    "TrialRecord",
+    "TrialRecords",
     "ball_exponent_forms",
     "ball_noise_ball_exponent",
     "best_channel_exponent",

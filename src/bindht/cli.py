@@ -51,6 +51,9 @@ PRESETS = {
 
 _USAGE_EXIT = 2
 
+#: trial records the stream writer converts to Python ints at a time
+_LINE_CHUNK = 4096
+
 
 def _fmt(v):
     if isinstance(v, float):
@@ -167,14 +170,24 @@ def cmd_tradeoff(args):
     return 0
 
 
-def _trial_line(r):
-    """One trial record as a JSON line, formatted as ``json.dumps`` would."""
-    return (
-        f'{{"hyp": {r.true_hypothesis}, '
-        f'"bin_error": {int(r.bin_decoding_error)}, "decided": {r.decided}, '
-        f'"noise_weight": {round(r.noise_weight_norm, 12)!r}, '
-        f'"decoded_weight": {round(r.decoded_weight_norm, 12)!r}}}\n'
+def _trial_lines(records):
+    """Yield trial records as JSON lines, formatted as ``json.dumps`` would.
+
+    Columns become Python ints a chunk at a time, bounding the memory.
+    """
+    weight = [repr(round(k / records.n, 12)) for k in range(records.n + 1)]
+    cols = (
+        records.hypothesis, records.bin_error, records.decided,
+        records.noise_weight, records.decoded_weight,
     )
+    for lo in range(0, len(records), _LINE_CHUNK):
+        chunk = (c[lo:lo + _LINE_CHUNK].astype(int).tolist() for c in cols)
+        for h, e, d, wn, wd in zip(*chunk):
+            yield (
+                f'{{"hyp": {h}, "bin_error": {e}, "decided": {d}, '
+                f'"noise_weight": {weight[wn]}, '
+                f'"decoded_weight": {weight[wd]}}}\n'
+            )
 
 
 def cmd_simulate(args):
@@ -200,7 +213,7 @@ def cmd_simulate(args):
     est = estimate_errors(records, args.n)
     if args.trial_stream:
         with open(args.trial_stream, "w", encoding="utf-8", newline="\n") as f:
-            f.writelines(_trial_line(r) for r in records)
+            f.writelines(_trial_lines(records))
     headers = (
         "scheme", "n", "trials", "seed", "eps0", "ci0_lo", "ci0_hi",
         "eps1", "ci1_lo", "ci1_hi", "exponent0", "exponent1",

@@ -15,7 +15,6 @@ arranged as the fine rows followed by the difference rows, which makes
 the coarse syndrome of x literally the pair (fine syndrome, increment).
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,9 +30,6 @@ from .errors import (
 
 #: widest syndrome for which the full leader table is materialized
 _TABLE_BITS = 22
-
-#: widest syndrome for which per-query leader search is attempted
-_SEARCH_BITS = 28
 
 #: frontier syndromes expanded at once by the leader-table search
 _BFS_CHUNK = 1024
@@ -363,37 +359,14 @@ def coset_table(code):
 def coset_leader(code, s):
     """Minimum-weight member of the coset with syndrome s.
 
-    Ties go to the lexicographically smallest vector.  Falls back to a
-    per-query weight-class search when the full table would be too
-    large.
+    Ties go to the lexicographically smallest vector.  Reads the cached
+    leader table, so it raises ResourceLimitError where `coset_table`
+    does.
     """
     m = code.n - code.k
     if s < 0 or s >> m:
         raise LengthMismatchError(f"syndrome {s} does not fit in {m} bits")
-    if m <= _TABLE_BITS:
-        return int(coset_table(code)[0][s])
-    if m > _SEARCH_BITS:
-        raise ResourceLimitError(
-            f"coset leaders need n - k <= {_SEARCH_BITS}, got {m}"
-        )
-    if s == 0:
-        return 0
-    unit_syn = [syndrome(code, 1 << j) for j in range(code.n)]
-    rev_unit = [1 << (code.n - 1 - j) for j in range(code.n)]
-    for w in range(1, code.n + 1):
-        best = None
-        for combo in itertools.combinations(range(code.n), w):
-            t = 0
-            for j in combo:
-                t ^= unit_syn[j]
-            if t == s:
-                v = sum(1 << j for j in combo)
-                rv = sum(rev_unit[j] for j in combo)
-                if best is None or rv < best[0]:
-                    best = (rv, v)
-        if best is not None:
-            return best[1]
-    raise ParameterError(f"syndrome {s} unreachable")  # pragma: no cover
+    return int(coset_table(code)[0][s])
 
 
 def quantize(code, x):

@@ -6,10 +6,12 @@ syndrome increment, or exchange syndromes for the modulo-sum scheme), and
 apply the weight-threshold decision at the far terminal.  Blocklengths are
 small enough that coset leader tables make the decoders exact.
 
-Randomness is counter-based: trial t of hypothesis hyp uses its own
-Philox generator keyed by (seed, scheme id, hyp, t), so runs are
-reproducible bit for bit and trials could be executed in any order or in
-parallel without changing the records.
+Randomness is counter-based: each hypothesis of a run reads one Philox
+stream keyed by (seed, scheme id, hyp), trial after trial, 2n uniforms
+per trial.  Runs are reproducible bit for bit, and since the stream is
+read in order, the records do not depend on the chunk size in which
+trials are drawn and decoded.  Records are held as columns in a
+`TrialRecords`.
 """
 
 import math
@@ -17,30 +19,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 from .gf2 import _popcount64, coset_table, row_parities, syndromes
 from .regions import HypothesisPair, SchemeParams
 
 _SCHEME_IDS = {"one_sided": 0, "korner_marton": 1}
 
+#: trials drawn, or decoded, at a time; bounds the temporaries held
+_CHUNK = 4096
+
+#: most trials per hypothesis; a run holds about 35 bytes per trial
+_MAX_TRIALS = 10_000_000
+
 # two-sided 95% normal quantile for Wilson intervals
 _WILSON_Z = 1.959963984540054
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """Outcome of a single simulated block.
+@dataclass(frozen=True, eq=False)
+class TrialRecords:
+    """Outcomes of simulated blocks as columns, one entry per trial.
 
-    decided is 1 when the decoded weight exceeded the threshold;
-    bin_decoding_error flags trials where the coset decoder missed the
-    transmitted word (the decision itself may still be right).
+    hypothesis is the true hypothesis of each trial, nulls first;
+    bin_error flags trials where the coset decoder missed the
+    transmitted word (the decision itself may still be right); decided
+    is set when the decoded weight exceeded the threshold.  noise_weight
+    and decoded_weight are integer Hamming weights out of n.
     """
 
-    true_hypothesis: int
-    bin_decoding_error: bool
-    decided: int
-    noise_weight_norm: float
-    decoded_weight_norm: float
+    n: int
+    hypothesis: np.ndarray
+    bin_error: np.ndarray
+    decided: np.ndarray
+    noise_weight: np.ndarray
+    decoded_weight: np.ndarray
+
+    def __len__(self):
+        return len(self.hypothesis)
 
 
 @dataclass(frozen=True)
@@ -59,6 +73,11 @@ class SimConfig:
             raise ParameterError(f"blocklength {self.n} outside [1, 64]")
         if self.trials < 1:
             raise ParameterError(f"trials={self.trials} must be positive")
+        if self.trials > _MAX_TRIALS:
+            raise ResourceLimitError(
+                f"trials={self.trials} above the limit of {_MAX_TRIALS} "
+                "per hypothesis"
+            )
         if self.seed < 0:
             raise ParameterError(f"seed={self.seed} must be nonnegative")
         if self.scheme not in _SCHEME_IDS:
@@ -100,31 +119,31 @@ def gen_dsbs(n, p, seed=None):
         raise ParameterError(f"blocklength {n} outside [1, 64]")
     if not (0.0 <= p <= 1.0):
         raise ParameterError(f"p={p} outside [0, 1]")
-    rng = np.random.default_rng(seed)
-    u = rng.random(2 * n)
-    x = _pack(u[:n] < 0.5)
-    z = _pack(u[n:] < p)
-    return x, x ^ z
+    x, z = _draw_words(np.random.default_rng(seed), 1, n, p)
+    return int(x[0]), int(x[0] ^ z[0])
 
 
-def _pack(bits):
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+def _draw_words(rng, rows, n, p):
+    """(X, Z) uint64 words of `rows` trials, from 2n uniforms u each.
 
-
-def _trial_rng(seed, scheme_id, hyp, t):
-    key = np.random.SeedSequence((seed, scheme_id, hyp, t))
-    return np.random.Generator(np.random.Philox(key))
+    Bit j of X is u[j] < 1/2 and bit j of Z is u[n + j] < p.
+    """
+    bits = rng.random((rows, 2, n)) < np.array([[0.5], [p]])
+    packed = np.zeros((rows, 2, 8), dtype=np.uint8)
+    packed[..., :(n + 7) // 8] = np.packbits(bits, axis=2, bitorder="little")
+    words = packed.view("<u8")[..., 0].astype(np.uint64, copy=False)
+    return words[:, 0], words[:, 1]
 
 
 def _draw_run(cfg, hyp, p):
-    """(X, Z) word arrays for one hypothesis, one substream per trial."""
-    sid = _SCHEME_IDS[cfg.scheme]
+    """(X, Z) word arrays for one hypothesis from its own stream."""
+    key = np.random.SeedSequence((cfg.seed, _SCHEME_IDS[cfg.scheme], hyp))
+    rng = np.random.Generator(np.random.Philox(key))
     x = np.empty(cfg.trials, dtype=np.uint64)
     z = np.empty(cfg.trials, dtype=np.uint64)
-    for t in range(cfg.trials):
-        xt, yt = gen_dsbs(cfg.n, p, _trial_rng(cfg.seed, sid, hyp, t))
-        x[t] = xt
-        z[t] = xt ^ yt
+    for lo in range(0, cfg.trials, _CHUNK):
+        hi = min(lo + _CHUNK, cfg.trials)
+        x[lo:hi], z[lo:hi] = _draw_words(rng, hi - lo, cfg.n, p)
     return x, z
 
 
@@ -133,11 +152,25 @@ def _accept_weight(n, theta):
     return int(math.floor(n * theta + 1e-9))
 
 
-def _emit(records, hyp, n, bin_err, decided, noise_w, decoded_w):
-    for be, d, wn, wd in zip(bin_err, decided, noise_w, decoded_w):
-        records.append(
-            TrialRecord(hyp, bool(be), int(d), int(wn) / n, int(wd) / n)
-        )
+def _run(cfg, decode):
+    """Records of both hypotheses, nulls first; decode(x, z) gives the
+    coset-decoding error flags and decoded weights of (X, Z) words."""
+    chunks = []
+    for h, p in ((0, cfg.h.p0), (1, cfg.h.p1)):
+        x, z = _draw_run(cfg, h, p)
+        for lo in range(0, cfg.trials, _CHUNK):
+            zc = z[lo:lo + _CHUNK]
+            err, w_hat = decode(x[lo:lo + _CHUNK], zc)
+            chunks.append((err, _popcount64(zc).astype(np.uint8), w_hat))
+    bin_err, noise_w, decoded_w = (np.concatenate(c) for c in zip(*chunks))
+    return TrialRecords(
+        n=cfg.n,
+        hypothesis=np.repeat(np.arange(2, dtype=np.uint8), cfg.trials),
+        bin_error=bin_err,
+        decided=decoded_w > _accept_weight(cfg.n, cfg.params.theta),
+        noise_weight=noise_w,
+        decoded_weight=decoded_w,
+    )
 
 
 def run_one_sided(cfg, nested):
@@ -147,7 +180,7 @@ def run_one_sided(cfg, nested):
     message is the coarse syndrome increment of U, and the decoder picks
     the member of the matching coarse coset closest to Y.  The decision
     thresholds the normalized distance between Y and that estimate.
-    Returns records for both hypotheses, nulls first.
+    Returns the records of both hypotheses, nulls first.
     """
     if cfg.scheme != "one_sided":
         raise ParameterError(f"config is for scheme {cfg.scheme!r}")
@@ -155,27 +188,20 @@ def run_one_sided(cfg, nested):
         raise ParameterError(
             f"code blocklength {nested.fine.n} != config n {cfg.n}"
         )
-    n = cfg.n
     m_fine = nested.fine.H.rows
     fine_leaders, _ = coset_table(nested.fine)
     coarse_leaders, coarse_weights = coset_table(nested.coarse)
-    k_acc = _accept_weight(n, cfg.params.theta)
-    records = []
-    for hyp, p in ((0, cfg.h.p0), (1, cfg.h.p1)):
-        x, z = _draw_run(cfg, hyp, p)
+
+    def decode(x, z):
         y = x ^ z
         u = x ^ fine_leaders[syndromes(nested.fine, x)]
         inc = row_parities(nested.delta.bits, u)
         # the coarse syndrome stacks the fine bits below the increment
         # bits, and U itself has zero fine syndrome
         s_rel = syndromes(nested.coarse, y) ^ (inc << np.uint64(m_fine))
-        u_hat = y ^ coarse_leaders[s_rel]
-        w_hat = coarse_weights[s_rel]
-        _emit(
-            records, hyp, n,
-            u_hat != u, w_hat > k_acc, _popcount64(z), w_hat,
-        )
-    return records
+        return (y ^ coarse_leaders[s_rel]) != u, coarse_weights[s_rel]
+
+    return _run(cfg, decode)
 
 
 def run_korner_marton(cfg, code):
@@ -192,28 +218,18 @@ def run_korner_marton(cfg, code):
         raise ParameterError(f"code blocklength {code.n} != config n {cfg.n}")
     if cfg.params.a > 1e-12:
         raise ParameterError("the symmetric scheme has no quantization step")
-    n = cfg.n
     leaders, weights = coset_table(code)
-    k_acc = _accept_weight(n, cfg.params.theta)
-    records = []
-    for hyp, p in ((0, cfg.h.p0), (1, cfg.h.p1)):
-        x, z = _draw_run(cfg, hyp, p)
+
+    def decode(x, z):
         s_z = syndromes(code, x) ^ syndromes(code, x ^ z)
-        z_hat = leaders[s_z]
-        w_hat = weights[s_z]
-        _emit(
-            records, hyp, n,
-            z_hat != z, w_hat > k_acc, _popcount64(z), w_hat,
-        )
-    return records
+        return leaders[s_z] != z, weights[s_z]
+
+    return _run(cfg, decode)
 
 
 def decoded_weights(records, hypothesis):
-    """Decoded weight statistics of one hypothesis as an array."""
-    return np.array(
-        [r.decoded_weight_norm for r in records
-         if r.true_hypothesis == hypothesis]
-    )
+    """Normalized decoded weights of one hypothesis as an array."""
+    return records.decoded_weight[records.hypothesis == hypothesis] / records.n
 
 
 def _wilson(k, m):
@@ -241,18 +257,15 @@ def estimate_errors(records, n):
     Needs records from both hypotheses; the false-alarm rate comes from
     the null trials, the miss rate from the alternative trials.
     """
-    k0 = m0 = k1 = m1 = b0 = b1 = 0
-    for r in records:
-        if r.true_hypothesis == 0:
-            m0 += 1
-            k0 += r.decided
-            b0 += r.bin_decoding_error
-        else:
-            m1 += 1
-            k1 += 1 - r.decided
-            b1 += r.bin_decoding_error
+    null = records.hypothesis == 0
+    m0 = np.count_nonzero(null)
+    m1 = len(records) - m0
     if m0 == 0 or m1 == 0:
         raise ParameterError("records must cover both hypotheses")
+    k0 = np.count_nonzero(records.decided & null)
+    k1 = m1 - np.count_nonzero(records.decided & ~null)
+    b0 = np.count_nonzero(records.bin_error & null)
+    b1 = np.count_nonzero(records.bin_error) - b0
     eps0 = k0 / m0
     eps1 = k1 / m1
     return ErrorEstimate(

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bindht
@@ -19,7 +20,7 @@ from bindht.regions import (
     stein_columns,
     unconstrained_pair,
 )
-from bindht.simkit import TrialRecord
+from bindht.simkit import _MAX_TRIALS, TrialRecords
 
 
 def _run(capsys, *argv):
@@ -241,17 +242,37 @@ def test_trial_line_matches_json_dumps():
     # every normalized weight k/n for blocklengths 1, 27 and 64, in both
     # record slots, with both values of every flag
     for n in (1, 27, 64):
-        for k in range(n + 1):
-            for hyp, err, dec in ((0, False, 0), (1, True, 1)):
-                rec = TrialRecord(hyp, err, dec, k / n, (n - k) / n)
-                want = json.dumps({
-                    "hyp": rec.true_hypothesis,
-                    "bin_error": int(rec.bin_decoding_error),
-                    "decided": rec.decided,
-                    "noise_weight": round(rec.noise_weight_norm, 12),
-                    "decoded_weight": round(rec.decoded_weight_norm, 12),
+        k = np.arange(n + 1, dtype=np.uint8)
+        for hyp, err, dec in ((0, False, 0), (1, True, 1)):
+            records = TrialRecords(
+                n,
+                hypothesis=np.full(n + 1, hyp, dtype=np.uint8),
+                bin_error=np.full(n + 1, err),
+                decided=np.full(n + 1, bool(dec)),
+                noise_weight=k,
+                decoded_weight=n - k,
+            )
+            want = [
+                json.dumps({
+                    "hyp": hyp,
+                    "bin_error": int(err),
+                    "decided": dec,
+                    "noise_weight": round(j / n, 12),
+                    "decoded_weight": round((n - j) / n, 12),
                 }) + "\n"
-                assert bindht.cli._trial_line(rec) == want
+                for j in range(n + 1)
+            ]
+            assert list(bindht.cli._trial_lines(records)) == want
+
+
+def test_simulate_rejects_huge_trial_count(capsys):
+    # refused when the config is built, before any code or draw
+    code, out, err = _run(
+        capsys, "simulate", "--p0", "0.1", "--p1", "0.35", "--rate", "0.3",
+        "--threshold", "0.2", "--n", "10",
+        "--trials", str(100 * _MAX_TRIALS),
+    )
+    assert code == 2 and out == "" and "error:" in err
 
 
 def test_simulate_korner_marton_rejects_quantization(capsys):
@@ -337,7 +358,9 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.std
 
 @pytest.mark.parametrize("argv", [
     [], ["--help"], ["stein", "--preset", "fig2a", "--p0", "0.0275"],
-], ids=["import", "help", "stein"])
+    ["simulate", "--preset", "fig3a", "--threshold", "0.1", "--n", "10",
+     "--trials", "50"],
+], ids=["import", "help", "stein", "simulate"])
 def test_runtime_does_not_import_scipy(argv):
     paths = [str(Path(bindht.__file__).resolve().parents[1])]
     paths += filter(None, [os.environ.get("PYTHONPATH")])

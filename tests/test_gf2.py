@@ -7,6 +7,7 @@ downstream trusts the tables.
 """
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -211,16 +212,18 @@ def test_row_parities_single_rows():
     assert int(out[1]) == 0b01
 
 
-def test_coset_leader_query_fallback():
-    # n - k = 24 exceeds the table bound, so queries search weight layers
+def test_coset_leader_beyond_table_bound_raises():
+    # n - k = 24 exceeds the table bound; queries read the table, so they
+    # fail at once instead of searching weight layers
     code = sample_random_linear_code(32, 8, seed=2)
+    start = time.perf_counter()
     with pytest.raises(ResourceLimitError):
         coset_table(code)
-    for x in (0, 1 << 5, (1 << 3) | (1 << 20)):
-        s = syndrome(code, x)
-        leader = coset_leader(code, s)
-        assert syndrome(code, leader) == s
-        assert bin(leader).count("1") <= bin(x).count("1")
+    with pytest.raises(ResourceLimitError):
+        coset_leader(code, syndrome(code, (1 << 3) | (1 << 20)))
+    with pytest.raises(ResourceLimitError):
+        quantize(code, 1 << 5)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_nested_code_containment():

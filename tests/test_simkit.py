@@ -6,18 +6,23 @@ the same law the oracle module integrates analytically.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import binomtest
 
 from bindht.gf2 import build_nested, coset_table, sample_random_linear_code, syndrome
-from bindht.errors import ParameterError
+from bindht.errors import ParameterError, ResourceLimitError
 from bindht.regions import HypothesisPair, SchemeParams
+import bindht.simkit
 from bindht.simkit import (
+    _MAX_TRIALS,
+    _SCHEME_IDS,
     SimConfig,
-    TrialRecord,
+    TrialRecords,
     _accept_weight,
+    _draw_run,
     _wilson,
     decoded_weights,
     estimate_errors,
@@ -93,6 +98,18 @@ def test_config_validation(kwargs):
         SimConfig(**base)
 
 
+def test_config_bounds_trials():
+    # a huge request fails when the config is built, before any drawing
+    base = dict(
+        n=12, seed=0,
+        h=HypothesisPair(0.1, 0.3),
+        params=SchemeParams(a=0.0, theta=0.2, rate_x=0.5),
+    )
+    assert SimConfig(trials=_MAX_TRIALS, **base).trials == _MAX_TRIALS
+    with pytest.raises(ResourceLimitError):
+        SimConfig(trials=_MAX_TRIALS + 1, **base)
+
+
 def _one_sided_cfg(trials=200, seed=0):
     return SimConfig(
         n=10, trials=trials, seed=seed,
@@ -101,26 +118,74 @@ def _one_sided_cfg(trials=200, seed=0):
     )
 
 
+_COLUMNS = ("hypothesis", "bin_error", "decided", "noise_weight",
+            "decoded_weight")
+
+
+def _same_records(a, b):
+    """Column-by-column identity of two TrialRecords, dtypes included."""
+    return a.n == b.n and all(
+        getattr(a, c).dtype == getattr(b, c).dtype
+        and np.array_equal(getattr(a, c), getattr(b, c))
+        for c in _COLUMNS
+    )
+
+
+def _km_cfg(trials=200, seed=0):
+    return replace(_one_sided_cfg(trials, seed), scheme="korner_marton")
+
+
 def test_run_one_sided_deterministic():
     nested = build_nested(10, 1.0, 0.5, seed=0)
     cfg = _one_sided_cfg()
-    assert run_one_sided(cfg, nested) == run_one_sided(cfg, nested)
+    assert _same_records(run_one_sided(cfg, nested), run_one_sided(cfg, nested))
     other = run_one_sided(_one_sided_cfg(seed=1), nested)
-    assert other != run_one_sided(cfg, nested)
+    assert not _same_records(other, run_one_sided(cfg, nested))
 
 
 def test_schemes_use_separate_streams():
     # same seed, different scheme id: the noise draws must not coincide
     nested = build_nested(10, 1.0, 0.5, seed=0)
     code = sample_random_linear_code(10, 5, seed=0)
-    cfg_q = _one_sided_cfg()
-    cfg_km = SimConfig(
-        n=10, trials=200, seed=0,
-        h=cfg_q.h, params=cfg_q.params, scheme="korner_marton",
-    )
-    wq = [r.noise_weight_norm for r in run_one_sided(cfg_q, nested)]
-    wkm = [r.noise_weight_norm for r in run_korner_marton(cfg_km, code)]
-    assert wq != wkm
+    wq = run_one_sided(_one_sided_cfg(), nested).noise_weight
+    wkm = run_korner_marton(_km_cfg(), code).noise_weight
+    assert not np.array_equal(wq, wkm)
+
+
+@pytest.mark.parametrize("scheme", sorted(_SCHEME_IDS))
+@pytest.mark.parametrize("hyp,p", [(0, 0.1), (1, 0.35)])
+def test_draw_run_matches_gen_dsbs_loop(monkeypatch, scheme, hyp, p):
+    # chunks of 128 trials, the last one partial, read the same stream
+    # as one gen_dsbs call per trial on a shared generator
+    monkeypatch.setattr(bindht.simkit, "_CHUNK", 128)
+    cfg = replace(_one_sided_cfg(trials=300, seed=4), n=27, scheme=scheme)
+    x, z = _draw_run(cfg, hyp, p)
+    key = np.random.SeedSequence((4, _SCHEME_IDS[scheme], hyp))
+    rng = np.random.Generator(np.random.Philox(key))
+    for t in range(cfg.trials):
+        xt, yt = gen_dsbs(27, p, rng)
+        assert (int(x[t]), int(z[t])) == (xt, xt ^ yt)
+
+
+def test_records_independent_of_chunk_size(monkeypatch):
+    nested = build_nested(10, 1.0, 0.5, seed=0)
+    code = sample_random_linear_code(10, 5, seed=0)
+    runs = ((run_one_sided, _one_sided_cfg(), nested),
+            (run_korner_marton, _km_cfg(), code))
+    wants = [run(cfg, decode_code) for run, cfg, decode_code in runs]
+    for chunk in (7, 201):  # 201 exceeds the 200 trials
+        monkeypatch.setattr(bindht.simkit, "_CHUNK", chunk)
+        for (run, cfg, decode_code), want in zip(runs, wants):
+            assert _same_records(run(cfg, decode_code), want)
+
+
+def test_hypotheses_and_schemes_draw_different_words():
+    cfg_q, cfg_km = _one_sided_cfg(), _km_cfg()
+    words = [
+        _draw_run(cfg, hyp, 0.1)[0].tobytes()
+        for cfg in (cfg_q, cfg_km) for hyp in (0, 1)
+    ]
+    assert len(set(words)) == 4
 
 
 def test_record_invariants():
@@ -128,14 +193,13 @@ def test_record_invariants():
     cfg = _one_sided_cfg(trials=300)
     records = run_one_sided(cfg, nested)
     assert len(records) == 2 * cfg.trials
-    assert [r.true_hypothesis for r in records[:300]] == [0] * 300
-    assert [r.true_hypothesis for r in records[300:]] == [1] * 300
+    assert records.hypothesis[:300].tolist() == [0] * 300
+    assert records.hypothesis[300:].tolist() == [1] * 300
     k_acc = _accept_weight(cfg.n, cfg.params.theta)
     cover = int(coset_table(nested.coarse)[1].max())
-    for r in records:
-        w = round(r.decoded_weight_norm * cfg.n)
-        assert r.decided == (w > k_acc)
-        assert w <= cover
+    w = records.decoded_weight.astype(int)
+    assert (records.decided == (w > k_acc)).all()
+    assert (w <= cover).all()
 
 
 def test_unquantized_decoding_never_inflates_weight():
@@ -143,13 +207,12 @@ def test_unquantized_decoding_never_inflates_weight():
     # is bounded by the true noise weight on every single trial
     nested = build_nested(10, 1.0, 0.5, seed=0)
     records = run_one_sided(_one_sided_cfg(trials=500), nested)
-    for r in records:
-        assert r.decoded_weight_norm <= r.noise_weight_norm + 1e-12
+    assert (records.decoded_weight <= records.noise_weight).all()
     # consequently coding can only shrink the false-alarm rate
     k_acc = _accept_weight(10, 0.2)
-    nulls = [r for r in records if r.true_hypothesis == 0]
-    coded = sum(r.decided for r in nulls)
-    uncoded = sum(r.noise_weight_norm * 10 > k_acc for r in nulls)
+    nulls = records.hypothesis == 0
+    coded = np.count_nonzero(records.decided[nulls])
+    uncoded = np.count_nonzero(records.noise_weight[nulls] > k_acc)
     assert coded <= uncoded
 
 
@@ -169,10 +232,7 @@ def test_monte_carlo_matches_enumeration():
     code = sample_random_linear_code(10, 5, seed=3)
     trials = 4000
     cfg_q = _one_sided_cfg(trials=trials)
-    cfg_km = SimConfig(
-        n=10, trials=trials, seed=0,
-        h=cfg_q.h, params=cfg_q.params, scheme="korner_marton",
-    )
+    cfg_km = _km_cfg(trials=trials)
     k_acc = _accept_weight(10, 0.2)
     runs = (
         (run_one_sided(cfg_q, nested), nested.coarse),
@@ -228,15 +288,26 @@ def test_decoded_weights_filters_by_hypothesis():
     w1 = decoded_weights(records, 1)
     assert len(w0) == len(w1) == 50
     assert list(w0) == [
-        r.decoded_weight_norm for r in records if r.true_hypothesis == 0
+        int(w) / 10 for w, h in zip(records.decoded_weight, records.hypothesis)
+        if h == 0
     ]
 
 
+def _records(n, *groups):
+    """TrialRecords from (count, (hyp, bin_error, decided, noise_w,
+    decoded_w)) groups, in order."""
+    rows = [row for count, row in groups for _ in range(count)]
+    cols = list(zip(*rows)) or [()] * 5
+    dtypes = (np.uint8, bool, bool, np.uint8, np.uint8)
+    return TrialRecords(n, *(np.array(c, dtype=d) for c, d in zip(cols, dtypes)))
+
+
 def test_estimate_errors_synthetic_counts():
-    records = (
-        [TrialRecord(0, False, 0, 0.1, 0.1)] * 20
-        + [TrialRecord(1, True, 1, 0.3, 0.2)] * 10
-        + [TrialRecord(1, False, 0, 0.3, 0.1)] * 10
+    records = _records(
+        10,
+        (20, (0, False, 0, 1, 1)),
+        (10, (1, True, 1, 3, 2)),
+        (10, (1, False, 0, 3, 1)),
     )
     est = estimate_errors(records, 10)
     assert (est.trials0, est.trials1) == (20, 20)
@@ -250,9 +321,10 @@ def test_estimate_errors_synthetic_counts():
 
 
 def test_estimate_errors_all_wrong():
-    records = (
-        [TrialRecord(0, False, 1, 0.1, 0.3)] * 8
-        + [TrialRecord(1, False, 1, 0.4, 0.4)] * 8
+    records = _records(
+        4,
+        (8, (0, False, 1, 0, 1)),
+        (8, (1, False, 1, 2, 2)),
     )
     est = estimate_errors(records, 4)
     assert est.eps0 == 1.0
@@ -263,9 +335,9 @@ def test_estimate_errors_all_wrong():
 
 def test_estimate_errors_needs_both_hypotheses():
     with pytest.raises(ParameterError):
-        estimate_errors([TrialRecord(0, False, 0, 0.1, 0.1)] * 5, 10)
+        estimate_errors(_records(10, (5, (0, False, 0, 1, 1))), 10)
     with pytest.raises(ParameterError):
-        estimate_errors([], 10)
+        estimate_errors(_records(10), 10)
 
 
 @pytest.mark.parametrize("k,m", [(1, 10), (3, 50), (17, 40), (120, 200), (199, 200)])
