@@ -24,7 +24,6 @@ from .errors import (
     SamplingFailureError,
 )
 from .exponents import (
-    ball_exponent_forms,
     ball_noise_ball_exponent,
     best_channel_exponent,
     expurgated_exponent,
@@ -48,12 +47,10 @@ from .gf2 import (
 from .oracle import (
     ExactPmfQuery,
     enumerate_mixed_noise_pmf,
-    exact_ball_prob,
     exact_mixed_noise_pmf,
     np_exact_errors,
 )
 from .regions import (
-    CurvePoint,
     ExponentPair,
     HypothesisPair,
     SchemeParams,
@@ -83,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BitMatrix",
     "CodeDiagnostics",
-    "CurvePoint",
     "ErrorEstimate",
     "ExactPmfQuery",
     "ExponentPair",
@@ -98,7 +94,6 @@ __all__ = [
     "SimConfig",
     "TradeoffCurve",
     "TrialRecords",
-    "ball_exponent_forms",
     "ball_noise_ball_exponent",
     "best_channel_exponent",
     "binary_convolution",
@@ -110,7 +105,6 @@ __all__ = [
     "diagnostics",
     "enumerate_mixed_noise_pmf",
     "estimate_errors",
-    "exact_ball_prob",
     "exact_mixed_noise_pmf",
     "expurgated_exponent",
     "export_code",

@@ -49,7 +49,11 @@ def binary_divergence(p, q):
         return 0.0 if p == 1.0 else math.inf
     acc = 0.0
     if p > 0.0:
-        acc += p * math.log(p / q)
+        # p / q overflows for a subnormal q; the log difference does not
+        if q < sys.float_info.min:
+            acc += p * (math.log(p) - math.log(q))
+        else:
+            acc += p * math.log(p / q)
     if p < 1.0:
         acc += (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
     return max(acc / _LN2, 0.0)

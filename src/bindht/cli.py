@@ -162,10 +162,8 @@ def cmd_tradeoff(args):
     rows = []
     for scheme in schemes:
         curve = tradeoff_curve(scheme, h, rate, resolution=args.resolution)
-        for pt in curve.points:
-            rows.append(
-                (scheme, pt.pair.e0, pt.pair.e1, pt.theta, pt.a, pt.alpha)
-            )
+        cols = (curve.e0, curve.e1, curve.theta, curve.a, curve.alpha)
+        rows.extend((scheme, *row) for row in zip(*(c.tolist() for c in cols)))
     _emit(args, "bindht.tradeoff.v1", headers, rows)
     return 0
 

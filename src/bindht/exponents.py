@@ -31,6 +31,7 @@ the clipped target.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -297,20 +298,6 @@ def ball_noise_ball_exponent(p, a, w, theta):
     return float(_shell_row_min(p, a, w, theta, iters=60))
 
 
-def ball_exponent_forms(p, a, w, theta):
-    """Both readings of the ball exponent, for diagnostics.
-
-    ``two_stage`` minimizes the sphere exponent over target weights up to
-    theta (the value used everywhere in this package); ``at_theta`` is
-    the raw sphere exponent at theta, which is larger when theta exceeds
-    the typical noise weight.
-    """
-    return {
-        "two_stage": type_noise_ball_exponent(p, a, w, theta),
-        "at_theta": mixed_weight_exponent(p, a, w, theta),
-    }
-
-
 # ---------------------------------------------------------------------------
 # BSC channel-coding exponents
 
@@ -348,10 +335,11 @@ def _channel_exponents_vec(p, rate, delta=None):
         delta = inverse_binary_entropy_vec(1.0 - rate)
     sq, sq_c = np.sqrt(ps), np.sqrt(1.0 - ps)
     r_crit = 1.0 - _h_vec(sq / (sq + sq_c))
-    sphere = (
-        xlogy(delta, delta / ps)
-        + xlogy(1.0 - delta, (1.0 - delta) / (1.0 - ps))
-    ) / _LN2
+    # delta / ps overflows for a subnormal ps; take the log difference there
+    tiny = ps < sys.float_info.min
+    head = xlogy(delta, delta / np.where(tiny, 1.0, ps))
+    head = np.where(tiny, head - xlogy(delta, ps), head)
+    sphere = (head + xlogy(1.0 - delta, (1.0 - delta) / (1.0 - ps))) / _LN2
     er = np.where(
         rate < r_crit,
         1.0 - 2.0 * np.log2(sq + sq_c) - rate,

@@ -209,14 +209,6 @@ def exact_ball_log2_prob(n, a_count, w_count, t_count, p):
     return float((_logsumexp(log_hyp + terms)) / math.log(2.0))
 
 
-def exact_ball_prob(n, a_count, w_count, t_count, p):
-    """P(wt(c + U + Z) <= t_count); may underflow to 0.0 for large n."""
-    l2 = exact_ball_log2_prob(n, a_count, w_count, t_count, p)
-    if l2 == -math.inf:
-        return 0.0
-    return float(2.0 ** l2) if l2 > -1000.0 else 0.0
-
-
 def _enumerate_counts(n, a_count, w_count):
     """Integer count table over (wt(z), resulting weight); n <= ENUM_MAX_N.
 

@@ -31,7 +31,7 @@ from .binmath import (
     gv_distance,
     inverse_binary_entropy_vec,
 )
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 from .exponents import (
     _ball_type_vec,
     _conv_vec,
@@ -101,24 +101,24 @@ class SchemeParams:
         return max(1.0 - binary_entropy(self.a) - self.rate_x, 0.0)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    theta: float
-    a: float
-    pair: ExponentPair
-    alpha: float = 1.0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TradeoffCurve:
+    """Frontier of one scheme as parallel float columns, in ascending e0.
+
+    Row i is the threshold, quantization level and time-sharing
+    fraction that reach the exponent pair (e0[i], e1[i]).
+    """
+
     scheme: str
     rate: float
-    points: tuple
+    e0: np.ndarray
+    e1: np.ndarray
+    theta: np.ndarray
+    a: np.ndarray
+    alpha: np.ndarray
 
     def as_arrays(self):
-        e0 = np.array([pt.pair.e0 for pt in self.points])
-        e1 = np.array([pt.pair.e1 for pt in self.points])
-        return e0, e1
+        return self.e0, self.e1
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +382,9 @@ def _symmetric_stein(h, rate):
 
 SCHEMES = ("unconstrained", "baseline", "one_sided", "symmetric")
 
+#: grid points one `tradeoff_curve` call may evaluate
+_MAX_CURVE_ROWS = 2_000_000
+
 
 def _pair_rows(h, a, thetas, rate_x):
     """one_sided_pair over parallel (a, theta) rows at one message rate."""
@@ -409,25 +412,34 @@ def tradeoff_curve(scheme, h, rate, resolution=200, a_points=25,
     of the block runs the scheme at rate/alpha, the rest is ignored,
     scaling both exponents by alpha.  The Pareto frontier of all grid
     points is returned.  The reference schemes sweep the threshold
-    only; time sharing cannot improve them.
+    only; time sharing cannot improve them.  A request that would
+    evaluate more than ``_MAX_CURVE_ROWS`` grid points is refused.
     """
     if scheme not in SCHEMES:
         raise ParameterError(f"unknown scheme {scheme!r}")
     _check_rate(rate)
     if resolution < 2:
         raise ParameterError("resolution must be at least 2")
-    pts = []
+    rows = resolution
+    if scheme in ("one_sided", "symmetric"):
+        rows *= alpha_points * (a_points if scheme == "one_sided" else 1)
+    if rows > _MAX_CURVE_ROWS:
+        raise ResourceLimitError(
+            f"{scheme} curve would evaluate {rows} points, above the limit "
+            f"of {_MAX_CURVE_ROWS}; lower the resolution"
+        )
     if scheme in ("unconstrained", "baseline"):
         off = 1e-6 * max(h.p1 - h.p0, 1.0)
         thetas = np.linspace(h.p0 + off, h.p1 - off, resolution)
-        for t in thetas:
-            pair = (
-                unconstrained_pair(h, float(t))
-                if scheme == "unconstrained"
-                else baseline_pair(h, rate, float(t))
-            )
-            pts.append(CurvePoint(float(t), 0.0, pair))
-        return TradeoffCurve(scheme=scheme, rate=rate, points=tuple(pts))
+        # a time-sharing fraction of 1 leaves the pair unchanged
+        share = 1.0 if scheme == "unconstrained" else rate
+        pairs = (baseline_pair(h, share, t) for t in map(float, thetas))
+        e0, e1 = np.fromiter(
+            ((pair.e0, pair.e1) for pair in pairs), (float, 2), resolution
+        ).T
+        zero, one = np.zeros(resolution), np.ones(resolution)
+        return TradeoffCurve(scheme, rate, e0, e1, thetas, zero, one)
+    blocks = []
     for alpha in default_alpha_grid(rate, npts=alpha_points):
         alpha = float(alpha)
         r_eff = min(rate / alpha, 1.0)
@@ -438,43 +450,53 @@ def tradeoff_curve(scheme, h, rate, resolution=200, a_points=25,
         lo = _conv_vec(a_grid, h.p0)
         hi = _conv_vec(a_grid, h.p1)
         t = np.linspace(0.0, 1.0, resolution)
-        thetas = lo[:, None] + t[None, :] * (hi - lo)[:, None]
-        a_rows = np.broadcast_to(a_grid[:, None], thetas.shape)
-        e0, e1 = _pair_rows(h, a_rows.ravel(), thetas.ravel(), r_eff)
-        for ai, ti, x, y in zip(
-            a_rows.ravel(), thetas.ravel(), e0, e1
-        ):
-            pts.append(
-                CurvePoint(
-                    float(ti), float(ai),
-                    ExponentPair(alpha * float(x), alpha * float(y)),
-                    alpha,
-                )
-            )
-    pts = pareto_points(pts)
-    return TradeoffCurve(scheme=scheme, rate=rate, points=tuple(pts))
+        thetas = (lo[:, None] + t[None, :] * (hi - lo)[:, None]).ravel()
+        a_rows = np.repeat(a_grid, resolution)
+        e0, e1 = _pair_rows(h, a_rows, thetas, r_eff)
+        block = np.stack(
+            [alpha * e0, alpha * e1, thetas, a_rows, np.full_like(e0, alpha)],
+            axis=1,
+        )
+        blocks.append(_rising(block))
+    front = pareto_points(np.concatenate(blocks))
+    return TradeoffCurve(scheme, rate, *front.T)
+
+
+def _rising(rows):
+    """Rows sorted stably on (-e0, -e1) whose e1 exceeds all before them.
+
+    No other row can pass the scan in `pareto_points`.  The alpha
+    blocks of `tradeoff_curve` are consecutive runs of its candidates,
+    so filtering each block first keeps every frontier row, and no two
+    survivors of one block tie.  fmax skips a NaN e1, as the scan does.
+    """
+    rows = rows[np.lexsort((-rows[:, 1], -rows[:, 0]))]
+    e1 = rows[:, 1]
+    keep = np.ones(len(rows), bool)
+    keep[1:] = e1[1:] > np.fmax.accumulate(e1)[:-1]
+    return rows[keep]
 
 
 def pareto_points(pts):
-    """Upper-right frontier: no other point is at least as good in both."""
-    ordered = sorted(
-        pts, key=lambda q: (-q.pair.e0, -q.pair.e1)
-    )
-    out = []
+    """Upper-right frontier of the rows of ``pts``, in ascending e0.
+
+    Columns 0 and 1 hold e0 and e1.  By descending (e0, e1), a row is
+    kept when its e1 exceeds the last kept e1 by more than 1e-15.
+    """
+    rows = _rising(pts)
+    keep = []
     best_e1 = -math.inf
-    for q in ordered:
-        if q.pair.e1 > best_e1 + 1e-15:
-            out.append(q)
-            best_e1 = q.pair.e1
-    out.reverse()  # ascending e0
-    return out
+    for i, e1 in enumerate(rows[:, 1].tolist()):
+        if e1 > best_e1 + 1e-15:
+            keep.append(i)
+            best_e1 = e1
+    return rows[keep[::-1]]
 
 
 def curve_value_at(curve, e0):
     """Interpolated miss exponent of a frontier at false-alarm exponent e0."""
-    xs, ys = curve.as_arrays()
-    order = np.argsort(xs)
-    xs, ys = xs[order], ys[order]
+    order = np.argsort(curve.e0)
+    xs, ys = curve.e0[order], curve.e1[order]
     if e0 <= xs[0]:
         return float(ys[0])
     if e0 >= xs[-1]:

@@ -68,6 +68,16 @@ def test_divergence_infinite_support_mismatch():
     assert binary_divergence(1.0, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("q", [1e-320, 5e-324])
+def test_divergence_at_subnormal_q(q):
+    # p / q overflows at a subnormal q; the divergence itself is finite
+    p = 0.05
+    want = p * (math.log2(p) - math.log2(q)) + (1.0 - p) * math.log2(1.0 - p)
+    assert binary_divergence(p, q) == pytest.approx(want, rel=1e-12)
+    if q == 1e-320:
+        assert binary_divergence(p, q) == pytest.approx(52.8645, abs=1e-4)
+
+
 @given(probs, st.floats(min_value=1e-9, max_value=1.0 - 1e-9))
 def test_divergence_nonnegative(w, q):
     assert binary_divergence(w, q) >= 0.0

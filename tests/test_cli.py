@@ -1,6 +1,7 @@
 """Command line behavior through in-process main() calls."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import bindht
 import bindht.cli
 from bindht.cli import PRESETS, main
 from bindht.regions import (
+    _MAX_CURVE_ROWS,
     SCHEMES,
     HypothesisPair,
     SchemeParams,
@@ -50,6 +52,19 @@ def test_exponents_all_schemes(capsys):
     want = unconstrained_pair(HypothesisPair(0.01, 0.25), 0.1)
     assert float(rows[0][2]) == pytest.approx(want.e0, rel=1e-10)
     assert float(rows[0][3]) == pytest.approx(want.e1, rel=1e-10)
+
+
+def test_exponents_subnormal_null_crossover(capsys):
+    # p0 is subnormal, so the divergence and channel-exponent ratios
+    # with p0 in the denominator would overflow; every e0 stays finite
+    code, out, err = _run(
+        capsys, "exponents", "--p0", "1e-320", "--p1", "0.1",
+        "--rate", "0.3", "--threshold", "0.05",
+    )
+    assert code == 0 and err == ""
+    _, rows = _parse_csv(out, "bindht.exponents.v1")
+    assert [r[0] for r in rows] == list(SCHEMES)
+    assert all(math.isfinite(float(r[2])) for r in rows), rows
 
 
 def test_exponents_scheme_filter_and_quantization(capsys):
@@ -273,6 +288,15 @@ def test_simulate_rejects_huge_trial_count(capsys):
         "--trials", str(100 * _MAX_TRIALS),
     )
     assert code == 2 and out == "" and "error:" in err
+
+
+def test_tradeoff_rejects_huge_resolution(capsys):
+    # refused before any grid point is built or evaluated
+    code, out, err = _run(
+        capsys, "tradeoff", "--preset", "fig3b", "--scheme", "one_sided",
+        "--resolution", str(_MAX_CURVE_ROWS),
+    )
+    assert code == 2 and out == "" and "above the limit" in err
 
 
 def test_simulate_korner_marton_rejects_quantization(capsys):

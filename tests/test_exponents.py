@@ -22,7 +22,6 @@ from bindht.exponents import (
     _ew_vec,
     _h_vec,
     _sphere_vec,
-    ball_exponent_forms,
     ball_noise_ball_exponent,
     best_channel_exponent,
     best_channel_exponent_vec,
@@ -186,12 +185,12 @@ def test_ball_exponent_two_stage_structure():
     typ = binary_convolution(binary_convolution(w, a), p)
     # below the typical weight the ball and sphere forms agree
     for theta in (0.1, 0.2, typ):
-        forms = ball_exponent_forms(p, a, w, theta)
-        assert forms["two_stage"] == pytest.approx(forms["at_theta"], abs=1e-9)
+        assert type_noise_ball_exponent(p, a, w, theta) == pytest.approx(
+            mixed_weight_exponent(p, a, w, theta), abs=1e-9
+        )
     # above it the ball probability stops decaying but the sphere does not
-    forms = ball_exponent_forms(p, a, w, typ + 0.1)
-    assert forms["two_stage"] == 0.0
-    assert forms["at_theta"] > 0.01
+    assert type_noise_ball_exponent(p, a, w, typ + 0.1) == 0.0
+    assert mixed_weight_exponent(p, a, w, typ + 0.1) > 0.01
 
 
 def test_type_noise_ball_monotone_in_theta():

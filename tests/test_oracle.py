@@ -20,7 +20,6 @@ from bindht.oracle import (
     _log_comb,
     enumerate_mixed_noise_pmf,
     exact_ball_log2_prob,
-    exact_ball_prob,
     exact_mixed_noise_pmf,
     exact_mixed_noise_pmf_vector,
     np_exact_errors,
@@ -141,10 +140,14 @@ def test_pmf_degenerate_p():
 
 
 def test_ball_trivial_cases():
-    assert exact_ball_prob(15, 4, 6, 15, 0.37) == pytest.approx(1.0, abs=1e-12)
+    assert 2.0 ** exact_ball_log2_prob(15, 4, 6, 15, 0.37) == pytest.approx(
+        1.0, abs=1e-12
+    )
     # theta = 0 with p = 0 needs U to cancel the center exactly
     want = 1.0 / math.comb(12, 5)
-    assert exact_ball_prob(12, 5, 5, 0, 0.0) == pytest.approx(want, rel=1e-12)
+    assert 2.0 ** exact_ball_log2_prob(12, 5, 5, 0, 0.0) == pytest.approx(
+        want, rel=1e-12
+    )
 
 
 def test_ball_log_matches_linear_sum():
@@ -179,7 +182,6 @@ def test_ball_log_large_n_underflow_safe():
     # but stays finite in the log domain
     l2 = exact_ball_log2_prob(4000, 0, 0, 40, 0.3)
     assert -4000.0 < l2 < -1000.0
-    assert exact_ball_prob(4000, 0, 0, 40, 0.3) == 0.0
 
 
 def test_np_exact_errors_against_scipy():

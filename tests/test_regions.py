@@ -19,7 +19,7 @@ from bindht.binmath import (
     inverse_binary_entropy_vec,
 )
 import bindht
-from bindht.errors import ParameterError
+from bindht.errors import ParameterError, ResourceLimitError
 from bindht.exponents import (
     _ball_type_vec,
     _h_vec,
@@ -27,13 +27,16 @@ from bindht.exponents import (
     type_noise_ball_exponent,
 )
 from bindht.regions import (
+    _MAX_CURVE_ROWS,
     SCHEMES,
-    CurvePoint,
     ExponentPair,
     HypothesisPair,
     SchemeParams,
+    TradeoffCurve,
     _binning_rows,
     _conv_vec,
+    _pair_rows,
+    _rising,
     _shell_row_min,
     _spectrum_min,
     _symmetric_stein,
@@ -431,17 +434,93 @@ def test_symmetric_stein_matches_column():
     assert cols["symmetric"] > _symmetric_stein(FIG_A, 0.3) + 0.01
 
 
+def _scan_frontier(rows):
+    """The frontier rule on row tuples, kept as the reference: sort on
+    (-e0, -e1), keep a row whose e1 exceeds the last kept e1 by more
+    than 1e-15, and return the kept rows in ascending e0."""
+    ordered = sorted(rows, key=lambda q: (-q[0], -q[1]))
+    out = []
+    best_e1 = -math.inf
+    for q in ordered:
+        if q[1] > best_e1 + 1e-15:
+            out.append(q)
+            best_e1 = q[1]
+    out.reverse()
+    return out
+
+
+def _near_tie_rows(seed, n=400):
+    """Rows (e0, e1, id) on a coarse grid near a falling line, so that
+    (e0, e1) ties are common and about 25 rows are on the frontier,
+    plus copies of frontier rows with e1 raised by 1e-16 to 2e-15, at
+    the same e0 or up to three ulps below it."""
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, 0.1, 25)
+    i = rng.integers(0, 25, n)
+    e0 = grid[i]
+    e1 = grid[np.clip(24 - i - rng.integers(0, 3, n), 0, 24)]
+    front = np.array(_scan_frontier(list(zip(e0.tolist(), e1.tolist()))))
+    k = 3 * len(front)
+    pick = front[rng.integers(0, len(front), k)]
+    near0 = pick[:, 0] - rng.integers(0, 4, k) * np.spacing(pick[:, 0])
+    near1 = pick[:, 1] + rng.uniform(1e-16, 2e-15, k)
+    e0 = np.concatenate([e0, near0])
+    e1 = np.concatenate([e1, near1])
+    rows = np.stack([e0, e1, np.arange(len(e0), dtype=float)], axis=1)
+    return rows[rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pareto_points_matches_object_scan(seed):
+    rows = _near_tie_rows(seed)
+    want = _scan_frontier([tuple(r) for r in rows.tolist()])
+    assert pareto_points(rows).tolist() == [list(q) for q in want]
+    # the per-block prefilter of tradeoff_curve keeps the same rows
+    blocks = np.array_split(rows, 7)
+    kept = pareto_points(np.concatenate([_rising(b) for b in blocks]))
+    assert kept.tolist() == [list(q) for q in want]
+
+
+@pytest.mark.parametrize("scheme", ["one_sided", "symmetric"])
+@pytest.mark.parametrize("h", [FIG_A, FIG_B, HypothesisPair(0.0, 0.25)])
+def test_tradeoff_curve_matches_object_scan(scheme, h):
+    # every grid row of the curve, built as tradeoff_curve builds it
+    # and scaled as Python floats, through the reference scan
+    resolution, a_points, alpha_points = 40, 6, 5
+    rows = []
+    for alpha in default_alpha_grid(0.3, npts=alpha_points):
+        alpha = float(alpha)
+        r_eff = min(0.3 / alpha, 1.0)
+        n_a = a_points if scheme == "one_sided" else 1
+        a_grid = np.linspace(0.0, gv_distance(r_eff), n_a)
+        lo, hi = _conv_vec(a_grid, h.p0), _conv_vec(a_grid, h.p1)
+        t = np.linspace(0.0, 1.0, resolution)
+        thetas = (lo[:, None] + t[None, :] * (hi - lo)[:, None]).ravel()
+        a_rows = np.repeat(a_grid, resolution)
+        e0, e1 = _pair_rows(h, a_rows, thetas, r_eff)
+        for x, y, th, a in zip(
+            e0.tolist(), e1.tolist(), thetas.tolist(), a_rows.tolist()
+        ):
+            rows.append((alpha * x, alpha * y, th, a, alpha))
+    want = _scan_frontier(rows)
+    curve = tradeoff_curve(
+        scheme, h, 0.3, resolution=resolution, a_points=a_points,
+        alpha_points=alpha_points,
+    )
+    cols = (curve.e0, curve.e1, curve.theta, curve.a, curve.alpha)
+    assert list(zip(*(c.tolist() for c in cols))) == want
+
+
 def test_pareto_points_removes_dominated():
-    pts = [
-        CurvePoint(0.1, 0.0, ExponentPair(0.1, 0.5)),
-        CurvePoint(0.2, 0.0, ExponentPair(0.2, 0.4)),
-        CurvePoint(0.3, 0.0, ExponentPair(0.15, 0.3)),  # dominated
-        CurvePoint(0.4, 0.0, ExponentPair(0.3, 0.1)),
-    ]
-    kept = pareto_points(pts)
-    assert [pt.pair.e0 for pt in kept] == [0.1, 0.2, 0.3]
-    e0s = [pt.pair.e0 for pt in kept]
-    assert e0s == sorted(e0s)
+    rows = np.array([
+        [0.1, 0.5, 0.1],
+        [0.2, 0.4, 0.2],
+        [0.15, 0.3, 0.3],  # dominated
+        [0.3, 0.1, 0.4],
+    ])
+    kept = pareto_points(rows)
+    assert kept[:, 0].tolist() == [0.1, 0.2, 0.3]
+    assert kept[:, 2].tolist() == [0.1, 0.2, 0.4]
 
 
 def test_tradeoff_curthan_monotone_frontiers():
@@ -459,9 +538,9 @@ def test_tradeoff_curthan_monotone_frontiers():
 def test_tradeoff_baseline_scales_unconstrained_curve():
     un = tradeoff_curve("unconstrained", FIG_A, 0.3, resolution=50)
     base = tradeoff_curve("baseline", FIG_A, 0.3, resolution=50)
-    for pu, pb in zip(un.points, base.points):
-        assert pb.pair.e0 == pytest.approx(0.3 * pu.pair.e0, abs=1e-12)
-        assert pb.pair.e1 == pytest.approx(0.3 * pu.pair.e1, abs=1e-12)
+    assert len(un.e0) == len(base.e0) == 50
+    np.testing.assert_allclose(base.e0, 0.3 * un.e0, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(base.e1, 0.3 * un.e1, rtol=0.0, atol=1e-12)
 
 
 def test_tradeoff_time_sharing_extends_reach():
@@ -471,20 +550,16 @@ def test_tradeoff_time_sharing_extends_reach():
     curve = tradeoff_curve(
         "symmetric", FIG_A, 0.3, resolution=80, alpha_points=9
     )
-    best_e1 = max(pt.pair.e1 for pt in curve.points)
-    assert best_e1 >= 0.9 * _symmetric_stein(FIG_A, 0.3)
-    alphas = {pt.alpha for pt in curve.points}
-    assert len(alphas) > 1
+    assert curve.e1.max() >= 0.9 * _symmetric_stein(FIG_A, 0.3)
+    assert len(set(curve.alpha.tolist())) > 1
 
 
 def test_curve_value_at_interpolates():
-    pts = (
-        CurvePoint(0.1, 0.0, ExponentPair(0.0, 1.0)),
-        CurvePoint(0.2, 0.0, ExponentPair(1.0, 0.0)),
+    curve = TradeoffCurve(
+        "unconstrained", 0.3, e0=np.array([0.0, 1.0]),
+        e1=np.array([1.0, 0.0]), theta=np.array([0.1, 0.2]), a=np.zeros(2),
+        alpha=np.ones(2),
     )
-    from bindht.regions import TradeoffCurve
-
-    curve = TradeoffCurve("unconstrained", 0.3, pts)
     assert curve_value_at(curve, 0.5) == pytest.approx(0.5)
     # outside the covered range the endpoints clamp
     assert curve_value_at(curve, 0.0) == pytest.approx(1.0)
@@ -494,6 +569,23 @@ def test_curve_value_at_interpolates():
 def test_tradeoff_rejects_unknown_scheme():
     with pytest.raises(ParameterError):
         tradeoff_curve("nonsense", FIG_A, 0.3)
+
+
+@pytest.mark.parametrize("scheme, resolution, a_points, alpha_points", [
+    ("one_sided", _MAX_CURVE_ROWS // (13 * 25) + 1, 25, 13),
+    ("one_sided", 2, _MAX_CURVE_ROWS, 2),
+    ("symmetric", _MAX_CURVE_ROWS // 13 + 1, 25, 13),
+    ("unconstrained", _MAX_CURVE_ROWS + 1, 25, 13),
+    ("baseline", _MAX_CURVE_ROWS + 1, 25, 13),
+])
+def test_tradeoff_rejects_work_above_bound(
+        scheme, resolution, a_points, alpha_points):
+    # refused before any grid point is built or evaluated
+    with pytest.raises(ResourceLimitError, match="above the limit"):
+        tradeoff_curve(
+            scheme, FIG_A, 0.3, resolution=resolution, a_points=a_points,
+            alpha_points=alpha_points,
+        )
 
 
 @pytest.mark.parametrize("rate", [1.5, -0.1, math.nan])
