@@ -57,9 +57,8 @@ from .regions import (
     TradeoffCurve,
     curve_value_at,
     one_sided_pair,
-    one_sided_stein,
-    prior_stein_bound,
     stein_columns,
+    stein_sweep,
     symmetric_pair,
     tradeoff_curve,
     unconstrained_pair,
@@ -116,13 +115,12 @@ __all__ = [
     "mixed_weight_exponent",
     "np_exact_errors",
     "one_sided_pair",
-    "one_sided_stein",
-    "prior_stein_bound",
     "random_coding_exponent",
     "run_korner_marton",
     "run_one_sided",
     "sample_random_linear_code",
     "stein_columns",
+    "stein_sweep",
     "symmetric_pair",
     "tradeoff_curve",
     "type_noise_ball_exponent",

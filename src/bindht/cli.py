@@ -35,7 +35,7 @@ from .regions import (
     SchemeParams,
     baseline_pair,
     one_sided_pair,
-    stein_columns,
+    stein_sweep,
     symmetric_pair,
     tradeoff_curve,
     unconstrained_pair,
@@ -51,7 +51,7 @@ PRESETS = {
 
 _USAGE_EXIT = 2
 
-#: trial records the stream writer converts to Python ints at a time
+#: trial records or curve rows converted to Python numbers at a time
 _LINE_CHUNK = 4096
 
 
@@ -142,14 +142,10 @@ def cmd_stein(args):
         raise ParameterError("resolution must be at least 1")
     lo, hi = _parse_sweep(args.p0 if args.p0 else "0.005:0.05")
     npts = 1 if lo == hi else args.resolution
+    cols = stein_sweep(p1, rate, lo, hi, npts)
     headers = ("p0", "unconstrained", "one_sided", "prior", "symmetric")
-    rows = []
-    for p0 in np.linspace(lo, hi, npts):
-        cols = stein_columns(HypothesisPair(float(p0), p1), rate)
-        rows.append(
-            (float(p0), cols["unconstrained"], cols["new"], cols["prior"],
-             cols["symmetric"])
-        )
+    keys = ("p0", "unconstrained", "new", "prior", "symmetric")
+    rows = zip(*(cols[key].tolist() for key in keys))
     _emit(args, "bindht.stein.v1", headers, rows)
     return 0
 
@@ -159,13 +155,24 @@ def cmd_tradeoff(args):
     h = HypothesisPair(p0, p1)
     schemes = args.scheme or list(SCHEMES)
     headers = ("scheme", "e0", "e1", "theta", "a", "alpha")
-    rows = []
-    for scheme in schemes:
-        curve = tradeoff_curve(scheme, h, rate, resolution=args.resolution)
-        cols = (curve.e0, curve.e1, curve.theta, curve.a, curve.alpha)
-        rows.extend((scheme, *row) for row in zip(*(c.tolist() for c in cols)))
-    _emit(args, "bindht.tradeoff.v1", headers, rows)
+    # every curve is computed before the first row is written
+    curves = [
+        tradeoff_curve(scheme, h, rate, resolution=args.resolution)
+        for scheme in schemes
+    ]
+    _emit(args, "bindht.tradeoff.v1", headers, _curve_rows(curves))
     return 0
+
+
+def _curve_rows(curves):
+    """Yield the rows of each curve, converted to Python floats a chunk at
+    a time, bounding the memory."""
+    for curve in curves:
+        cols = (curve.e0, curve.e1, curve.theta, curve.a, curve.alpha)
+        for lo in range(0, len(curve.e0), _LINE_CHUNK):
+            chunk = (c[lo:lo + _LINE_CHUNK].tolist() for c in cols)
+            for row in zip(*chunk):
+                yield (curve.scheme, *row)
 
 
 def _trial_lines(records):

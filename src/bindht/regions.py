@@ -12,11 +12,11 @@ level a (zero means binning only) and the message rate rate_x; the
 induced bin rate is rate_bin = 1 - h(a) - rate_x.  `one_sided_pair`
 evaluates the achievable exponent pair of that scheme at a threshold,
 `symmetric_pair` is the equal-rate special case a = 0 (achievable with
-modulo-sum decoding at both terminals), and `one_sided_stein` is the
-best miss exponent under a vanishing false-alarm constraint.  The
-prior one-sided benchmark (`prior_stein_bound`) and the
-single-terminal/unconstrained references are included so callers can
-reproduce the comparison sweeps.
+modulo-sum decoding at both terminals), and `stein_columns` gives the
+best miss exponent under a vanishing false-alarm constraint, next to
+the prior one-sided benchmark and the unconstrained reference, so
+callers can reproduce the comparison sweeps (`stein_sweep` over a range
+of p0).
 """
 
 import math
@@ -38,10 +38,13 @@ from .exponents import (
     _h_vec,
     _shell_row_min,
     best_channel_exponent_vec,
-    type_noise_ball_exponent,
 )
 
 _TOL = 1e-9
+
+#: grid points one `tradeoff_curve` call, or level rows one Stein sweep,
+#: may evaluate
+_MAX_CURVE_ROWS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -142,26 +145,16 @@ def baseline_pair(h, rate, theta):
 
 
 def time_share(pair, alpha):
-    """Run the scheme on an alpha fraction of samples, ignore the rest."""
+    """Run the scheme on an alpha fraction of samples, ignore the rest.
+
+    A zero fraction sends nothing, so both exponents are 0, also where
+    the scheme's own exponent is infinite.
+    """
     if not (0.0 <= alpha <= 1.0):
         raise ParameterError(f"alpha={alpha} outside [0, 1]")
+    if alpha == 0.0:
+        return ExponentPair(0.0, 0.0)
     return ExponentPair(alpha * pair.e0, alpha * pair.e1)
-
-
-# ---------------------------------------------------------------------------
-# previously known one-sided (Stein) benchmark
-
-def prior_stein_bound(h, rate_x):
-    """Best previously known one-sided exponent at rate rate_x.
-
-    Maximizes over the quantization level a the minimum of the helper
-    noise term at threshold a * p0 and the rate-limited binning term
-    rate_x - h(a * p0) + h(a).  The candidate scan includes the
-    covering-radius endpoint, where the binning term exceeds the
-    quantization term and the minimum reduces to the no-binning
-    benchmark.
-    """
-    return _stein_scan(h, rate_x, need_ec=False).prior_max
 
 
 # ---------------------------------------------------------------------------
@@ -253,76 +246,140 @@ def symmetric_pair(h, rate, theta):
 # ---------------------------------------------------------------------------
 # one-sided (Stein) bound of the coded scheme
 
-@dataclass(frozen=True)
-class SteinScan:
-    """Per-candidate terms of the one-sided bound at one rate.
+#: (p0, alpha) cells one `_stein_scan` call evaluates
+_STEIN_CHUNK = 512
+#: levels per cell of the first scan round, then per center of each
+#: refinement round (two centers)
+_STEIN_GRID = (49, 17, 17)
+#: quantization levels `_stein_scan` evaluates per cell
+_STEIN_LEVELS = _STEIN_GRID[0] + 2 * sum(_STEIN_GRID[1:])
 
-    All arrays are aligned with ``levels`` (sorted quantization
-    levels).  Both the new bound and the prior benchmark maximize over
-    the same candidate set, so their comparison is free of grid skew.
+
+def _stein_terms(p1, p0, rate_x, levels):
+    """Helper, rate-limited binning and binning-error terms at each level.
+
+    p0 and rate_x broadcast against the array of levels.
     """
-
-    levels: np.ndarray
-    han: np.ndarray
-    sha: np.ndarray
-    ec: np.ndarray
-
-    @property
-    def new_max(self):
-        return float(np.max(np.minimum(self.han, self.ec)))
-
-    @property
-    def prior_max(self):
-        return float(np.max(np.minimum(self.han, self.sha)))
-
-
-def _stein_terms(h, rate_x, levels, need_ec):
-    theta = _conv_vec(levels, h.p0)
-    han = np.asarray(_ball_type_vec(h.p1, levels, 0.0, theta), float)
+    theta = _conv_vec(levels, p0)
+    han = _ball_type_vec(p1, levels, 0.0, theta)
     sha = rate_x - _h_vec(theta) + _h_vec(levels)
-    if need_ec:
-        rate_bin = np.maximum(1.0 - _h_vec(levels) - rate_x, 0.0)
-        ec = _binning_rows(h.p1, levels, theta, rate_bin)
-    else:
-        ec = np.full_like(levels, math.inf)
+    rate_bin = np.maximum(1.0 - _h_vec(levels) - rate_x, 0.0)
+    ec = _binning_rows(p1, levels, theta, rate_bin)
     return han, sha, ec
 
 
-def _stein_scan(h, rate_x, need_ec=True):
-    a_hi = gv_distance(rate_x)
-    if a_hi <= 0.0:
-        levels = np.zeros(1)
-        han, sha, ec = _stein_terms(h, rate_x, levels, need_ec)
-        return SteinScan(levels, han, sha, ec)
-    levels = np.linspace(0.0, a_hi, 49)
-    han, sha, ec = _stein_terms(h, rate_x, levels, need_ec)
-    span = a_hi / (len(levels) - 1)
-    for npts in (17, 17):
-        centers = {float(levels[int(np.argmax(np.minimum(han, sha)))])}
-        if need_ec:
-            centers.add(float(levels[int(np.argmax(np.minimum(han, ec)))]))
-        extra = np.concatenate([
-            np.linspace(max(0.0, c - span), min(a_hi, c + span), npts)
-            for c in sorted(centers)
-        ])
-        h2, s2, e2 = _stein_terms(h, rate_x, extra, need_ec)
-        levels = np.concatenate([levels, extra])
-        han = np.concatenate([han, h2])
-        sha = np.concatenate([sha, s2])
-        ec = np.concatenate([ec, e2])
-        span = 2.0 * span / (npts - 1)
-    order = np.argsort(levels)
-    return SteinScan(levels[order], han[order], sha[order], ec[order])
+def _grid(lo, hi, num):
+    """np.linspace(lo, hi, num) along a new last axis, for arrays lo, hi.
 
-
-def one_sided_stein(h, rate_x):
-    """Best miss exponent with vanishing false-alarm probability.
-
-    Maximizes over the quantization level a the minimum of the helper
-    type-noise term at threshold a * p0 and the binning decision-error
-    term at the induced bin rate.
+    Written out because np.linspace switches every row to another
+    formula, which rounds differently, as soon as one row has lo == hi.
     """
-    return _stein_scan(h, rate_x).new_max
+    lo, hi = lo[..., None], hi[..., None]
+    out = np.arange(num) * ((hi - lo) / (num - 1)) + lo
+    out[..., -1:] = hi
+    return out
+
+
+def _stein_scan(p1, p0, rate_x):
+    """Stein maxima of the new bound and of the prior benchmark, per cell.
+
+    Cell i is the pair (p0[i], p1) at message rate rate_x[i].  Both
+    bounds maximize over the quantization level a the minimum of the
+    helper type-noise term at threshold a * p0 and a binning term: the
+    binning decision-error exponent at the induced bin rate (new), or
+    the rate-limited term rate_x - h(a * p0) + h(a) (prior).  They share
+    one set of candidate levels, so their comparison is free of grid
+    skew.  The scan takes 49 levels on [0, delta_GV(rate_x)], then
+    twice 17 levels around the best level of each bound, as found in
+    the order the levels were added (the first maximum wins ties).
+
+    Where both bounds pick the same level its block is evaluated twice,
+    and a cell with delta_GV(rate_x) = 0 evaluates level 0 throughout.
+    Neither changes a maximum or a later center, since each copy comes
+    after the level it repeats.
+    """
+    first, *refine = _STEIN_GRID
+    rate_x = np.asarray(rate_x, float)
+    # one scalar bisection per distinct rate; a sweep repeats them per p0
+    rates, where = np.unique(rate_x, return_inverse=True)
+    a_hi = np.array([gv_distance(r) for r in rates.tolist()])[where]
+    p0, rate_x = np.asarray(p0, float)[:, None], rate_x[:, None]
+    levels = _grid(np.zeros_like(a_hi), a_hi, first)
+    han, sha, ec = _stein_terms(p1, p0, rate_x, levels)
+    span = a_hi / (first - 1)
+    for npts in refine:
+        picks = np.stack([
+            np.argmax(np.minimum(han, sha), axis=1),
+            np.argmax(np.minimum(han, ec), axis=1),
+        ], axis=1)
+        centers = np.sort(np.take_along_axis(levels, picks, axis=1), axis=1)
+        extra = _grid(
+            np.maximum(0.0, centers - span[:, None]),
+            np.minimum(a_hi[:, None], centers + span[:, None]),
+            npts,
+        ).reshape(len(p0), -1)
+        h2, s2, e2 = _stein_terms(p1, p0, rate_x, extra)
+        levels = np.concatenate([levels, extra], axis=1)
+        han = np.concatenate([han, h2], axis=1)
+        sha = np.concatenate([sha, s2], axis=1)
+        ec = np.concatenate([ec, e2], axis=1)
+        span = 2.0 * span / (npts - 1)
+    return (
+        np.max(np.minimum(han, ec), axis=1),
+        np.max(np.minimum(han, sha), axis=1),
+    )
+
+
+def _symmetric_stein(p1, p0, rate):
+    """The a = 0 restriction of the one-sided bound (equal-rate scheme)."""
+    p0 = np.asarray(p0, float)
+    han, _, ec = _stein_terms(p1, p0, rate, np.zeros_like(p0))
+    return np.minimum(han, ec)
+
+
+def stein_sweep(p1, rate, p0_lo, p0_hi, npts, alphas=None):
+    """Stein columns at npts values of p0 from p0_lo to p0_hi.
+
+    Returns a dict of arrays aligned with its "p0" entry: the
+    unconstrained reference and the time-sharing maxima of the new
+    bound, the prior benchmark and the equal-rate (a = 0) variant, as
+    in `stein_columns`.  Every (p0, alpha) cell is evaluated in batches
+    of ``_STEIN_CHUNK`` cells.  A sweep that would evaluate more than
+    ``_MAX_CURVE_ROWS`` level rows (``_STEIN_LEVELS`` per cell) is
+    refused.
+    """
+    if alphas is None:
+        alphas = default_alpha_grid(rate)
+    alphas = np.asarray(alphas, float)
+    rows = npts * alphas.size * _STEIN_LEVELS
+    if rows > _MAX_CURVE_ROWS:
+        raise ResourceLimitError(
+            f"stein sweep would evaluate {rows} level rows, above the limit "
+            f"of {_MAX_CURVE_ROWS}; lower the resolution"
+        )
+    p0s = np.linspace(p0_lo, p0_hi, npts)
+    pairs = [HypothesisPair(p0, p1) for p0 in p0s.tolist()]
+    _check_rate(rate)
+    cell_p0 = np.repeat(p0s, alphas.size)
+    cell_rate = np.tile(np.minimum(rate / alphas, 1.0), npts)
+    new, prior, sym = (np.empty(cell_p0.size) for _ in range(3))
+    for lo in range(0, cell_p0.size, _STEIN_CHUNK):
+        part = slice(lo, lo + _STEIN_CHUNK)
+        new[part], prior[part] = _stein_scan(p1, cell_p0[part], cell_rate[part])
+        sym[part] = _symmetric_stein(p1, cell_p0[part], cell_rate[part])
+
+    def best(col):
+        return np.max(alphas * col.reshape(npts, alphas.size), axis=1)
+
+    return {
+        "p0": p0s,
+        "unconstrained": np.array(
+            [binary_divergence(h.p0, h.p1) for h in pairs]
+        ),
+        "new": best(new),
+        "prior": best(prior),
+        "symmetric": best(sym),
+    }
 
 
 def stein_columns(h, rate, alphas=None):
@@ -338,23 +395,8 @@ def stein_columns(h, rate, alphas=None):
     ordering is the ordering of the underlying terms rather than an
     optimizer artifact.
     """
-    _check_rate(rate)
-    if alphas is None:
-        alphas = default_alpha_grid(rate)
-    new = prior = sym = -math.inf
-    for alpha in alphas:
-        alpha = float(alpha)
-        r_eff = min(rate / alpha, 1.0)
-        scan = _stein_scan(h, r_eff)
-        new = max(new, alpha * scan.new_max)
-        prior = max(prior, alpha * scan.prior_max)
-        sym = max(sym, alpha * _symmetric_stein(h, r_eff))
-    return {
-        "unconstrained": binary_divergence(h.p0, h.p1),
-        "new": new,
-        "prior": prior,
-        "symmetric": sym,
-    }
+    cols = stein_sweep(h.p1, rate, h.p0, h.p0, 1, alphas)
+    return {key: float(col[0]) for key, col in cols.items() if key != "p0"}
 
 
 def _check_rate(rate):
@@ -367,23 +409,10 @@ def default_alpha_grid(rate, npts=33):
     return np.linspace(max(rate, 1e-6), 1.0, npts)
 
 
-def _symmetric_stein(h, rate):
-    """The a = 0 restriction of the one-sided bound (equal-rate scheme)."""
-    theta = h.p0
-    rate_bin = max(1.0 - rate, 0.0)
-    return min(
-        type_noise_ball_exponent(h.p1, 0.0, 0.0, theta),
-        float(_binning_rows(h.p1, [0.0], [theta], [rate_bin])[0]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # tradeoff curves
 
 SCHEMES = ("unconstrained", "baseline", "one_sided", "symmetric")
-
-#: grid points one `tradeoff_curve` call may evaluate
-_MAX_CURVE_ROWS = 2_000_000
 
 
 def _pair_rows(h, a, thetas, rate_x):

@@ -206,6 +206,29 @@ def test_tradeoff_schema_and_grouping(capsys):
         assert all(b <= a + 1e-12 for a, b in zip(e1s, e1s[1:]))
 
 
+def test_tradeoff_rows_written_in_chunks(capsys, monkeypatch):
+    # chunks of 7 rows split every curve; the table is the same
+    argv = ("tradeoff", "--preset", "fig3a", "--resolution", "40")
+    code, whole, _ = _run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(bindht.cli, "_LINE_CHUNK", 7)
+    code, chunked, _ = _run(capsys, *argv)
+    assert code == 0 and chunked == whole
+
+
+def test_tradeoff_zero_rate_baseline_is_zero(capsys):
+    # a zero share sends nothing; at p0 = 0 the full-rate e0 is infinite,
+    # and 0 * inf used to print nan
+    code, out, err = _run(
+        capsys, "tradeoff", "--p0", "0", "--p1", "0.25", "--rate", "0",
+        "--scheme", "baseline", "--resolution", "4",
+    )
+    assert code == 0 and err == ""
+    _, rows = _parse_csv(out, "bindht.tradeoff.v1")
+    assert len(rows) == 4
+    assert all(float(r[1]) == 0.0 and float(r[2]) == 0.0 for r in rows)
+
+
 def test_simulate_deterministic_output(tmp_path, capsys):
     argv = (
         "simulate", "--p0", "0.1", "--p1", "0.35", "--rate", "0.5",
@@ -288,6 +311,14 @@ def test_simulate_rejects_huge_trial_count(capsys):
         "--trials", str(100 * _MAX_TRIALS),
     )
     assert code == 2 and out == "" and "error:" in err
+
+
+def test_stein_rejects_huge_resolution(capsys):
+    # refused before the p0 grid is built or any level is evaluated
+    code, out, err = _run(
+        capsys, "stein", "--preset", "fig2a", "--resolution", str(10 ** 12),
+    )
+    assert code == 2 and out == "" and "above the limit" in err
 
 
 def test_tradeoff_rejects_huge_resolution(capsys):

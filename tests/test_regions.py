@@ -28,6 +28,7 @@ from bindht.exponents import (
 )
 from bindht.regions import (
     _MAX_CURVE_ROWS,
+    _STEIN_LEVELS,
     SCHEMES,
     ExponentPair,
     HypothesisPair,
@@ -39,15 +40,15 @@ from bindht.regions import (
     _rising,
     _shell_row_min,
     _spectrum_min,
+    _stein_scan,
     _symmetric_stein,
     baseline_pair,
     curve_value_at,
     default_alpha_grid,
     one_sided_pair,
-    one_sided_stein,
     pareto_points,
-    prior_stein_bound,
     stein_columns,
+    stein_sweep,
     symmetric_pair,
     time_share,
     tradeoff_curve,
@@ -131,6 +132,93 @@ def sigma_sha(h, rate_x):
     return max(float(vals[i]), -neg)
 
 
+def _new_bound(h, rate_x):
+    """The new one-sided Stein bound at one rate: a one-cell scan."""
+    return float(_stein_scan(h.p1, [h.p0], [rate_x])[0][0])
+
+
+def _prior_bound(h, rate_x):
+    """The prior one-sided benchmark at one rate: a one-cell scan."""
+    return float(_stein_scan(h.p1, [h.p0], [rate_x])[1][0])
+
+
+def _sym_bound(h, rate):
+    """The equal-rate (a = 0) Stein value at one rate: a one-cell call."""
+    return float(_symmetric_stein(h.p1, [h.p0], [rate])[0])
+
+
+def _ref_stein_scan(h, rate_x):
+    """The scan at one rate before batching, kept as the reference.
+
+    Returns the new and prior maxima and the number of refinement rounds
+    in which both bounds picked the same center (refined once here).
+    """
+    def terms(levels):
+        theta = _conv_vec(levels, h.p0)
+        han = np.asarray(_ball_type_vec(h.p1, levels, 0.0, theta), float)
+        sha = rate_x - _h_vec(theta) + _h_vec(levels)
+        rate_bin = np.maximum(1.0 - _h_vec(levels) - rate_x, 0.0)
+        return han, sha, _binning_rows(h.p1, levels, theta, rate_bin)
+
+    shared = 0
+    a_hi = gv_distance(rate_x)
+    if a_hi <= 0.0:
+        levels = np.zeros(1)
+        han, sha, ec = terms(levels)
+    else:
+        levels = np.linspace(0.0, a_hi, 49)
+        han, sha, ec = terms(levels)
+        span = a_hi / (len(levels) - 1)
+        for npts in (17, 17):
+            centers = {
+                float(levels[int(np.argmax(np.minimum(han, sha)))]),
+                float(levels[int(np.argmax(np.minimum(han, ec)))]),
+            }
+            shared += len(centers) == 1
+            extra = np.concatenate([
+                np.linspace(max(0.0, c - span), min(a_hi, c + span), npts)
+                for c in sorted(centers)
+            ])
+            h2, s2, e2 = terms(extra)
+            levels = np.concatenate([levels, extra])
+            han = np.concatenate([han, h2])
+            sha = np.concatenate([sha, s2])
+            ec = np.concatenate([ec, e2])
+            span = 2.0 * span / (npts - 1)
+    new = float(np.max(np.minimum(han, ec)))
+    return new, float(np.max(np.minimum(han, sha))), shared
+
+
+def _ref_stein_columns(h, rate, alphas=None):
+    """`stein_columns` as a loop over alpha, kept as the reference; also
+    returns the count of shared centers over all scans."""
+    if alphas is None:
+        alphas = default_alpha_grid(rate)
+    new = prior = sym = -math.inf
+    shared = 0
+    for alpha in alphas:
+        alpha = float(alpha)
+        r_eff = min(rate / alpha, 1.0)
+        scan_new, scan_prior, scan_shared = _ref_stein_scan(h, r_eff)
+        equal_rate = min(
+            type_noise_ball_exponent(h.p1, 0.0, 0.0, h.p0),
+            float(_binning_rows(
+                h.p1, [0.0], [h.p0], [max(1.0 - r_eff, 0.0)]
+            )[0]),
+        )
+        new = max(new, alpha * scan_new)
+        prior = max(prior, alpha * scan_prior)
+        sym = max(sym, alpha * equal_rate)
+        shared += scan_shared
+    cols = {
+        "unconstrained": binary_divergence(h.p0, h.p1),
+        "new": new,
+        "prior": prior,
+        "symmetric": sym,
+    }
+    return cols, shared
+
+
 def _time_shared(bound, h, rate):
     """max over the default alpha grid of alpha * bound(h, rate / alpha)."""
     return max(
@@ -180,6 +268,8 @@ def test_time_share_scales_both_exponents():
     pair = ExponentPair(0.4, 0.2)
     scaled = time_share(pair, 0.25)
     assert (scaled.e0, scaled.e1) == (pytest.approx(0.1), pytest.approx(0.05))
+    # a zero share sends nothing, even where the exponent is infinite
+    assert time_share(ExponentPair(math.inf, 0.2), 0.0) == ExponentPair(0.0, 0.0)
 
 
 def test_symmetric_equals_one_sided_without_quantization():
@@ -407,9 +497,9 @@ def test_stein_benchmark_combination():
     # the scan shares one candidate grid across terms, the standalone
     # formula refines its own optimum, hence the 1e-5 scale slack
     formulas = max(sigma_han(h, gv_distance(0.3)), sigma_sha(h, 0.3))
-    assert prior_stein_bound(h, 0.3) == pytest.approx(formulas, abs=2e-5)
+    assert _prior_bound(h, 0.3) == pytest.approx(formulas, abs=2e-5)
     assert stein_columns(h, 0.3)["prior"] == pytest.approx(
-        _time_shared(prior_stein_bound, h, 0.3), abs=1e-9
+        _time_shared(_prior_bound, h, 0.3), abs=1e-9
     )
 
 
@@ -420,7 +510,7 @@ def test_stein_benchmarks_individual():
     assert sigma_ac(h, 1.0) == pytest.approx(full, abs=1e-9)
     assert sigma_han(h, 0.0) == pytest.approx(full, abs=1e-9)
     assert sigma_sha(h, 1.0) == pytest.approx(full, abs=1e-9)
-    assert one_sided_stein(h, 1.0) == pytest.approx(full, abs=1e-6)
+    assert _new_bound(h, 1.0) == pytest.approx(full, abs=1e-6)
     # and the binning benchmark improves with rate
     assert sigma_sha(h, 0.2) <= sigma_sha(h, 0.4) + 1e-9
 
@@ -428,10 +518,58 @@ def test_stein_benchmarks_individual():
 def test_symmetric_stein_matches_column():
     cols = stein_columns(FIG_A, 0.3)
     assert cols["symmetric"] == pytest.approx(
-        _time_shared(_symmetric_stein, FIG_A, 0.3), abs=1e-9
+        _time_shared(_sym_bound, FIG_A, 0.3), abs=1e-9
     )
     # time sharing strictly helps the plain equal-rate value here
-    assert cols["symmetric"] > _symmetric_stein(FIG_A, 0.3) + 0.01
+    assert cols["symmetric"] > _sym_bound(FIG_A, 0.3) + 0.01
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("p1", [0.1, 0.25, 0.5])
+def test_stein_columns_match_per_alpha_loop(p1, rate):
+    # the batched scan evaluates the same levels, so every column is
+    # equal to the loop's, not just close
+    for p0 in (0.0, 0.005, 0.0275, p1):
+        h = HypothesisPair(p0, p1)
+        want, _ = _ref_stein_columns(h, rate)
+        assert stein_columns(h, rate) == want, (p0, p1, rate)
+
+
+@pytest.mark.parametrize("h, rate, alphas", [
+    (FIG_A, 0.3, [0.3, 0.45, 0.7, 1.0]),
+    # at p1 = 0.1 both bounds pick the same center in some rounds
+    (FIG_B, 0.3, None),
+])
+def test_stein_columns_match_per_alpha_loop_cases(h, rate, alphas):
+    want, shared = _ref_stein_columns(h, rate, alphas)
+    assert stein_columns(h, rate, alphas) == want
+    if alphas is None:
+        assert shared > 0
+
+
+def test_stein_sweep_chunks_match_single_cells(monkeypatch):
+    # one sweep over several p0, in one chunk and in chunks of 7 cells
+    # (which split the alpha grid of a p0), equals one call per p0
+    whole = stein_sweep(0.25, 0.3, 0.0, 0.05, 4)
+    monkeypatch.setattr(bindht.regions, "_STEIN_CHUNK", 7)
+    chunked = stein_sweep(0.25, 0.3, 0.0, 0.05, 4)
+    for key, col in whole.items():
+        assert col.tolist() == chunked[key].tolist(), key
+    for i, p0 in enumerate(whole["p0"].tolist()):
+        cols = stein_columns(HypothesisPair(p0, 0.25), 0.3)
+        assert cols == {key: whole[key][i] for key in cols}, p0
+
+
+@pytest.mark.parametrize("npts", [
+    _MAX_CURVE_ROWS // (33 * _STEIN_LEVELS) + 1, 10 ** 12,
+])
+def test_stein_rejects_work_above_bound(npts):
+    # refused before the p0 grid is built or any level is evaluated
+    with pytest.raises(ResourceLimitError, match="above the limit"):
+        stein_sweep(0.25, 0.3, 0.005, 0.05, npts)
+    alphas = np.ones(_MAX_CURVE_ROWS // _STEIN_LEVELS + 1)
+    with pytest.raises(ResourceLimitError, match="above the limit"):
+        stein_columns(FIG_A, 0.3, alphas)
 
 
 def _scan_frontier(rows):
@@ -550,7 +688,7 @@ def test_tradeoff_time_sharing_extends_reach():
     curve = tradeoff_curve(
         "symmetric", FIG_A, 0.3, resolution=80, alpha_points=9
     )
-    assert curve.e1.max() >= 0.9 * _symmetric_stein(FIG_A, 0.3)
+    assert curve.e1.max() >= 0.9 * _sym_bound(FIG_A, 0.3)
     assert len(set(curve.alpha.tolist())) > 1
 
 
