@@ -39,8 +39,6 @@ from .gf2 import (
     NestedCode,
     build_nested,
     diagnostics,
-    export_code,
-    import_code,
     improve_covering,
     sample_random_linear_code,
 )
@@ -106,10 +104,8 @@ __all__ = [
     "estimate_errors",
     "exact_mixed_noise_pmf",
     "expurgated_exponent",
-    "export_code",
     "gen_dsbs",
     "gv_distance",
-    "import_code",
     "improve_covering",
     "inverse_binary_entropy",
     "mixed_weight_exponent",

@@ -1,13 +1,13 @@
 """GF(2) linear codes: syndromes, coset leaders, quantizers, nesting.
 
-Bit vectors are plain Python ints with bit j holding coordinate j, so
-XOR is vector addition and ``int.bit_count`` is the Hamming weight.  A
-code is stored through its generator and parity-check matrices; the
-parity check fixes a syndrome map s(x) = x H^T whose bit i is the
-parity of row i against x.  Coset leaders (minimum-weight coset
-members, ties to the lexicographically smallest vector) come from a
-table built by a breadth-first search over the syndrome space, cached
-per code.
+Words and matrix rows are packed with bit j holding coordinate j, so
+XOR is vector addition and a popcount is the Hamming weight.  Rows are
+plain Python ints; words are uint64, and `syndromes`, `quantize` and
+`row_parities` take an int or an array of words.  The parity check of
+a code fixes a syndrome map s(x) = x H^T whose bit i is the parity of
+row i against x.  Coset leaders (minimum-weight coset members, ties to
+the lexicographically smallest vector) come from a table built by a
+breadth-first search over the syndrome space, cached per code.
 
 ``build_nested`` draws a pair of codes sharing generator rows so the
 coarse code is a subcode of the fine one; the coarse parity check is
@@ -50,13 +50,6 @@ def pack_bits(bits):
     return value
 
 
-def unpack_bits(value, n):
-    """Inverse of pack_bits: length-n uint8 array of coordinates."""
-    if value < 0 or value >> n:
-        raise LengthMismatchError(f"value {value} does not fit in {n} bits")
-    return np.array([(value >> j) & 1 for j in range(n)], dtype=np.uint8)
-
-
 @dataclass(frozen=True)
 class BitMatrix:
     """Binary matrix with one packed int per row (bit j = column j)."""
@@ -81,12 +74,6 @@ class BitMatrix:
     @classmethod
     def from_rows(cls, rows, cols):
         return cls(len(rows), cols, tuple(int(r) for r in rows))
-
-    def row_strings(self):
-        return [
-            "".join(str((r >> j) & 1) for j in range(self.cols))
-            for r in self.bits
-        ]
 
 
 def _rank(rows):
@@ -226,28 +213,6 @@ def sample_random_linear_code(n, k, seed=None):
     )
 
 
-def _as_word(x, n):
-    if isinstance(x, (int, np.integer)):
-        v = int(x)
-        if v < 0 or v >> n:
-            raise LengthMismatchError(f"word {v} does not fit in {n} bits")
-        return v
-    return pack_bits(x) if len(x) == n else _bad_length(len(x), n)
-
-
-def _bad_length(got, n):
-    raise LengthMismatchError(f"expected {n} coordinates, got {got}")
-
-
-def syndrome(code, x):
-    """Syndrome s(x) = x H^T as an int, bit i from parity-check row i."""
-    v = _as_word(x, code.n)
-    s = 0
-    for i, h in enumerate(code.H.bits):
-        s |= ((h & v).bit_count() & 1) << i
-    return s
-
-
 def row_parities(rows, words):
     """Apply a bit matrix to packed words; output bit i is <rows[i], word>."""
     words = np.asarray(words, dtype=np.uint64)
@@ -259,7 +224,18 @@ def row_parities(rows, words):
 
 
 def syndromes(code, words):
-    """Vectorized syndrome of a uint64 array of packed words."""
+    """Syndrome x H^T of each packed word; bit i from parity-check row i.
+
+    Takes an int or an array of them and raises LengthMismatchError for
+    a word that does not fit in n bits.
+    """
+    try:
+        words = np.asarray(words, dtype=np.uint64)
+        fits = not np.any(words >> np.uint64(code.n))
+    except OverflowError:  # a negative int, or one wider than 64 bits
+        fits = False
+    if not fits:
+        raise LengthMismatchError(f"a word does not fit in {code.n} bits")
     return row_parities(code.H.bits, words)
 
 
@@ -273,7 +249,9 @@ def _popcount64(v):
     v = v - ((v >> np.uint64(1)) & m1)
     v = (v & m2) + ((v >> np.uint64(2)) & m2)
     v = (v + (v >> np.uint64(4))) & m4
-    return (v * h01) >> np.uint64(56)
+    # the ufunc wraps without the overflow warning of scalar arithmetic,
+    # which a 0-d input would otherwise get
+    return np.multiply(v, h01) >> np.uint64(56)
 
 
 @lru_cache(maxsize=32)
@@ -304,10 +282,9 @@ def _leader_data(code):
     if n > 64:
         raise ResourceLimitError("leader tables support blocklengths up to 64")
     size = 1 << (n - code.k)
-    unit_syn = np.array(
-        [syndrome(code, 1 << j) for j in range(n)], dtype=np.intp
-    )
-    rev_unit = np.array([1 << (n - 1 - j) for j in range(n)], dtype=np.uint64)
+    units = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    unit_syn = syndromes(code, units).astype(np.intp)
+    rev_unit = units[::-1]
     rho = np.full(size, np.iinfo(np.uint64).max, dtype=np.uint64)
     rho[0] = 0
     weights = np.zeros(size, dtype=np.uint8)
@@ -356,23 +333,14 @@ def coset_table(code):
     return _leader_data(code)
 
 
-def coset_leader(code, s):
-    """Minimum-weight member of the coset with syndrome s.
+def quantize(code, words):
+    """Nearest codeword of each word: subtract its coset leader.
 
-    Ties go to the lexicographically smallest vector.  Reads the cached
-    leader table, so it raises ResourceLimitError where `coset_table`
-    does.
+    Ties go to the lexicographically smallest leader.  Raises
+    ResourceLimitError where `coset_table` does.
     """
-    m = code.n - code.k
-    if s < 0 or s >> m:
-        raise LengthMismatchError(f"syndrome {s} does not fit in {m} bits")
-    return int(coset_table(code)[0][s])
-
-
-def quantize(code, x):
-    """Nearest codeword: subtract the coset leader of the syndrome."""
-    v = _as_word(x, code.n)
-    return v ^ coset_leader(code, syndrome(code, v))
+    leaders, _ = coset_table(code)
+    return leaders[syndromes(code, words)] ^ np.asarray(words, dtype=np.uint64)
 
 
 def codewords(code):
@@ -425,7 +393,7 @@ def improve_covering(code, seed=None, rounds=None, candidates=64):
         best = None
         for _ in range(candidates):
             v = pack_bits(rng.integers(0, 2, size=current.n))
-            sv = syndrome(current, v)
+            sv = int(syndromes(current, v))
             if sv == 0:
                 continue  # already a codeword
             merged = np.minimum(weights, weights[np.arange(len(weights)) ^ sv])
@@ -494,37 +462,3 @@ def build_nested(n, rate_fine, rate_coarse, seed=None, improve=False):
     coarse = LinearCode(n, k2, coarse.G, stacked)
     return NestedCode(fine=fine, coarse=coarse,
                       delta=BitMatrix.from_rows(delta, n))
-
-
-def syndrome_increment(nested, x):
-    """Increment bits x delta^T distinguishing coarse cosets within fine."""
-    v = _as_word(x, nested.fine.n)
-    s = 0
-    for i, h in enumerate(nested.delta.bits):
-        s |= ((h & v).bit_count() & 1) << i
-    return s
-
-
-def export_code(code):
-    """Text form: 'n k' then the generator rows as 0/1 strings."""
-    lines = [f"{code.n} {code.k}"]
-    lines.extend(code.G.row_strings())
-    return "\n".join(lines) + "\n"
-
-
-def import_code(text):
-    """Rebuild a code exported by export_code (parity check re-derived)."""
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    try:
-        n, k = (int(tok) for tok in lines[0].split())
-    except (ValueError, IndexError):
-        raise ParameterError("first line must be 'n k'")
-    if len(lines) != k + 1:
-        raise ParameterError(f"expected {k} generator rows, got {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        if len(ln) != n or set(ln) - {"0", "1"}:
-            raise ParameterError(f"bad generator row {ln!r}")
-        rows.append(pack_bits(int(ch) for ch in ln))
-    gen = BitMatrix.from_rows(rows, n)
-    return LinearCode(n, k, gen, _parity_check(rows, n, k))

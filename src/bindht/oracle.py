@@ -140,9 +140,7 @@ def exact_mixed_noise_pmf(query):
         query.n, query.a_count, query.w_count, query.t_count, query.p
     )
     if p == 0.0 or p == 1.0 or n <= _LINEAR_N:
-        if p in (0.0, 1.0):
-            return float(_pmf_vector_degenerate(n, na, nw, p)[nt])
-        return float(_pmf_vector_linear(n, na, nw, p)[nt])
+        return float(_pmf_vector(n, na, nw, p)[nt])
     ms, log_hyp = _log_hyp_weights(n, na, nw)
     terms = np.full(len(ms), -math.inf)
     for i, m in enumerate(ms):
@@ -170,24 +168,26 @@ def _pmf_vector_degenerate(n, na, nw, p):
     return pmf
 
 
+def _pmf_vector(n, na, nw, p):
+    """Full pmf over 0..n by the linear-domain route for this p."""
+    if p == 0.0 or p == 1.0:
+        return _pmf_vector_degenerate(n, na, nw, p)
+    return _pmf_vector_linear(n, na, nw, p)
+
+
 def exact_mixed_noise_pmf_vector(n, a_count, w_count, p):
     """Full pmf over resulting weights 0..n (blocklength-limited)."""
     ExactPmfQuery(n, a_count, w_count, 0, p)
     if n > 64:
         raise ResourceLimitError(f"pmf vector limited to n <= 64, got {n}")
-    if p == 0.0 or p == 1.0:
-        return _pmf_vector_degenerate(n, a_count, w_count, p)
-    return _pmf_vector_linear(n, a_count, w_count, p)
+    return _pmf_vector(n, a_count, w_count, p)
 
 
 def exact_ball_log2_prob(n, a_count, w_count, t_count, p):
     """log2 P(wt(c + U + Z) <= t_count), stable for large n."""
     ExactPmfQuery(n, a_count, w_count, t_count, p)
     if p == 0.0 or p == 1.0 or n <= _LINEAR_N:
-        if p in (0.0, 1.0):
-            vec = _pmf_vector_degenerate(n, a_count, w_count, p)
-        else:
-            vec = _pmf_vector_linear(n, a_count, w_count, p)
+        vec = _pmf_vector(n, a_count, w_count, p)
         total = float(np.sum(vec[: t_count + 1]))
         return math.log2(total) if total > 0.0 else -math.inf
     na, nw, nt = a_count, w_count, t_count

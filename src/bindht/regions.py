@@ -414,6 +414,9 @@ def default_alpha_grid(rate, npts=33):
 
 SCHEMES = ("unconstrained", "baseline", "one_sided", "symmetric")
 
+#: grid rows of an alpha block one `_pair_rows` call evaluates
+_PAIR_CHUNK = 16384
+
 
 def _pair_rows(h, a, thetas, rate_x):
     """one_sided_pair over parallel (a, theta) rows at one message rate."""
@@ -443,6 +446,9 @@ def tradeoff_curve(scheme, h, rate, resolution=200, a_points=25,
     points is returned.  The reference schemes sweep the threshold
     only; time sharing cannot improve them.  A request that would
     evaluate more than ``_MAX_CURVE_ROWS`` grid points is refused.
+    Grid rows are evaluated ``_PAIR_CHUNK`` at a time, and each alpha
+    block is filtered together with the rows kept so far, so memory
+    stays within a block and the frontier.
     """
     if scheme not in SCHEMES:
         raise ParameterError(f"unknown scheme {scheme!r}")
@@ -468,7 +474,7 @@ def tradeoff_curve(scheme, h, rate, resolution=200, a_points=25,
         ).T
         zero, one = np.zeros(resolution), np.ones(resolution)
         return TradeoffCurve(scheme, rate, e0, e1, thetas, zero, one)
-    blocks = []
+    front = np.empty((0, 5))
     for alpha in default_alpha_grid(rate, npts=alpha_points):
         alpha = float(alpha)
         r_eff = min(rate / alpha, 1.0)
@@ -479,25 +485,27 @@ def tradeoff_curve(scheme, h, rate, resolution=200, a_points=25,
         lo = _conv_vec(a_grid, h.p0)
         hi = _conv_vec(a_grid, h.p1)
         t = np.linspace(0.0, 1.0, resolution)
-        thetas = (lo[:, None] + t[None, :] * (hi - lo)[:, None]).ravel()
-        a_rows = np.repeat(a_grid, resolution)
-        e0, e1 = _pair_rows(h, a_rows, thetas, r_eff)
-        block = np.stack(
-            [alpha * e0, alpha * e1, thetas, a_rows, np.full_like(e0, alpha)],
-            axis=1,
-        )
-        blocks.append(_rising(block))
-    front = pareto_points(np.concatenate(blocks))
+        block = np.empty((a_grid.size * resolution, 5))
+        block[:, 2] = (lo[:, None] + t[None, :] * (hi - lo)[:, None]).ravel()
+        block[:, 3], block[:, 4] = np.repeat(a_grid, resolution), alpha
+        for start in range(0, len(block), _PAIR_CHUNK):
+            rows = block[start:start + _PAIR_CHUNK]
+            e0, e1 = _pair_rows(h, rows[:, 3], rows[:, 2], r_eff)
+            rows[:, 0], rows[:, 1] = alpha * e0, alpha * e1
+        front = _rising(np.concatenate([front, block]))
+    front = pareto_points(front)
     return TradeoffCurve(scheme, rate, *front.T)
 
 
 def _rising(rows):
     """Rows sorted stably on (-e0, -e1) whose e1 exceeds all before them.
 
-    No other row can pass the scan in `pareto_points`.  The alpha
-    blocks of `tradeoff_curve` are consecutive runs of its candidates,
-    so filtering each block first keeps every frontier row, and no two
-    survivors of one block tie.  fmax skips a NaN e1, as the scan does.
+    No other row can pass the scan in `pareto_points`.  A dropped row
+    has a kept row before it with at least its e1, so `tradeoff_curve`
+    may filter the rows kept so far together with each new alpha block
+    and still keep every frontier row; exact ties go to the earlier
+    block, as in one stable sort of all blocks, and no two survivors
+    tie.  fmax skips a NaN e1, as the scan does.
     """
     rows = rows[np.lexsort((-rows[:, 1], -rows[:, 0]))]
     e1 = rows[:, 1]

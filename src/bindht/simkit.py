@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
-from .gf2 import _popcount64, coset_table, row_parities, syndromes
+from .gf2 import _popcount64, coset_table, quantize, row_parities, syndromes
 from .regions import HypothesisPair, SchemeParams
 
 _SCHEME_IDS = {"one_sided": 0, "korner_marton": 1}
@@ -189,12 +189,13 @@ def run_one_sided(cfg, nested):
             f"code blocklength {nested.fine.n} != config n {cfg.n}"
         )
     m_fine = nested.fine.H.rows
-    fine_leaders, _ = coset_table(nested.fine)
+    # the coarse table is the larger one (k2 <= k1), so reading it here
+    # also checks the size bound of the fine table `quantize` reads
     coarse_leaders, coarse_weights = coset_table(nested.coarse)
 
     def decode(x, z):
         y = x ^ z
-        u = x ^ fine_leaders[syndromes(nested.fine, x)]
+        u = quantize(nested.fine, x)
         inc = row_parities(nested.delta.bits, u)
         # the coarse syndrome stacks the fine bits below the increment
         # bits, and U itself has zero fine syndrome

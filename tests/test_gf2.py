@@ -24,31 +24,34 @@ from bindht.gf2 import (
     LinearCode,
     build_nested,
     codewords,
-    coset_leader,
     coset_table,
     diagnostics,
-    export_code,
-    import_code,
     improve_covering,
     pack_bits,
     quantize,
     row_parities,
     sample_random_linear_code,
-    syndrome,
-    syndrome_increment,
     syndromes,
-    unpack_bits,
     _popcount64,
 )
+from gf2_oracle import syndrome
 
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64)
 
 
 @given(bit_lists)
-def test_pack_unpack_round_trip(bits):
+def test_pack_bits_coordinate_order(bits):
     v = pack_bits(bits)
-    assert list(unpack_bits(v, len(bits))) == bits
-    assert pack_bits(unpack_bits(v, len(bits))) == v
+    # coordinate j is bit j, as in numpy's little-endian bit order
+    assert [(v >> j) & 1 for j in range(len(bits))] == bits
+    assert v >> len(bits) == 0
+    little = np.packbits(np.array(bits, dtype=np.uint8), bitorder="little")
+    assert v == int.from_bytes(little.tobytes(), "little")
+
+
+def test_pack_bits_rejects_non_bits():
+    with pytest.raises(ParameterError):
+        pack_bits([0, 2, 1])
 
 
 def test_sample_code_structure():
@@ -56,8 +59,7 @@ def test_sample_code_structure():
     assert (code.n, code.k) == (20, 12)
     assert code.rate == pytest.approx(0.6)
     # every generator row is a codeword of the parity check
-    for g in code.G.bits:
-        assert syndrome(code, g) == 0
+    assert not syndromes(code, list(code.G.bits)).any()
     # determinism by seed
     again = sample_random_linear_code(20, 12, seed=3)
     assert code == again
@@ -72,8 +74,8 @@ def test_repetition_code_by_hand():
         G=BitMatrix.from_rows([0b111], 3),
         H=BitMatrix.from_rows([0b011, 0b101], 3),
     )
-    assert syndrome(code, 0b111) == 0
-    assert quantize(code, 0b110) == 0b111
+    assert int(syndromes(code, 0b111)) == 0
+    assert int(quantize(code, 0b110)) == 0b111
     diag = diagnostics(code)
     assert diag.spectrum == {0: 1, 3: 1}
     assert diag.covering_radius_norm == pytest.approx(1.0 / 3.0)
@@ -100,7 +102,6 @@ def test_coset_leaders_match_brute_force(n, k, seed):
     for s, v in want.items():
         assert int(leaders[s]) == v
         assert int(weights[s]) == bin(v).count("1")
-        assert coset_leader(code, s) == v
 
 
 def _leader_walk(code):
@@ -184,14 +185,27 @@ def test_coset_table_wide_syndromes():
     assert np.array_equal(weights, _coset_weights_bfs(code))
 
 
+def _nearest_brute(code, x):
+    """Nearest codeword to x, ties to the lexicographically smallest
+    difference (coordinate tuples compared from coordinate 0)."""
+    def key(c):
+        d = c ^ x
+        return (bin(d).count("1"), tuple((d >> j) & 1 for j in range(code.n)))
+    return min((int(c) for c in codewords(code)), key=key)
+
+
 def test_quantize_moves_to_nearest_codeword():
-    code = sample_random_linear_code(12, 6, seed=9)
-    cws = set(int(c) for c in codewords(code))
-    for x in (0, 0b101, 0b111000111000, 0b110011001100 >> 1):
-        q = quantize(code, x)
-        assert q in cws
-        dist = bin(q ^ x).count("1")
-        assert all(bin(c ^ x).count("1") >= dist for c in cws)
+    for n, k, seed in ((12, 6, 9), (10, 3, 4), (9, 7, 1)):
+        code = sample_random_linear_code(n, k, seed=seed)
+        rng = np.random.default_rng(seed)
+        words = np.concatenate([
+            np.array([0, (1 << n) - 1], dtype=np.uint64),
+            rng.integers(0, 1 << n, size=40, dtype=np.uint64),
+        ])
+        got = quantize(code, words)
+        assert got.dtype == np.uint64 and got.shape == words.shape
+        for x, q in zip(words.tolist(), got.tolist()):
+            assert q == _nearest_brute(code, x)
 
 
 def test_syndromes_vectorized_matches_scalar():
@@ -213,16 +227,14 @@ def test_row_parities_single_rows():
 
 
 def test_coset_leader_beyond_table_bound_raises():
-    # n - k = 24 exceeds the table bound; queries read the table, so they
-    # fail at once instead of searching weight layers
+    # n - k = 24 exceeds the table bound; quantize reads the table, so it
+    # fails at once instead of searching weight layers
     code = sample_random_linear_code(32, 8, seed=2)
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError):
         coset_table(code)
     with pytest.raises(ResourceLimitError):
-        coset_leader(code, syndrome(code, (1 << 3) | (1 << 20)))
-    with pytest.raises(ResourceLimitError):
-        quantize(code, 1 << 5)
+        quantize(code, np.array([1 << 5, 1 << 20], dtype=np.uint64))
     assert time.perf_counter() - start < 1.0
 
 
@@ -230,15 +242,14 @@ def test_nested_code_containment():
     nested = build_nested(16, 0.75, 0.25, seed=7)
     assert nested.fine.k == 12 and nested.coarse.k == 4
     # every coarse codeword lies in the fine code
-    for c in codewords(nested.coarse):
-        assert syndrome(nested.fine, int(c)) == 0
+    assert not syndromes(nested.fine, codewords(nested.coarse)).any()
     # coarse syndrome = fine syndrome bits then increment bits
-    m1 = nested.fine.H.rows
-    for x in (0x1234, 0xFFFF, 0x0F0F):
-        s_fine = syndrome(nested.fine, x)
-        s_coarse = syndrome(nested.coarse, x)
-        inc = syndrome_increment(nested, x)
-        assert s_coarse == s_fine | (inc << m1)
+    m1 = np.uint64(nested.fine.H.rows)
+    x = np.array([0, 0x1234, 0xFFFF, 0x0F0F], dtype=np.uint64)
+    s_fine = syndromes(nested.fine, x)
+    inc = row_parities(nested.delta.bits, x)
+    assert np.array_equal(syndromes(nested.coarse, x), s_fine | (inc << m1))
+    assert inc[1:].any()
 
 
 def test_nested_rate_targets_within_one_over_n():
@@ -251,11 +262,12 @@ def test_nested_rate_targets_within_one_over_n():
 def test_nested_increment_constant_on_coarse_cosets():
     nested = build_nested(12, 0.8, 0.4, seed=3)
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        x = int(rng.integers(0, 1 << 12))
-        inc = syndrome_increment(nested, x)
-        for c in codewords(nested.coarse)[:8]:
-            assert syndrome_increment(nested, x ^ int(c)) == inc
+    x = rng.integers(0, 1 << 12, size=20, dtype=np.uint64)
+    inc = row_parities(nested.delta.bits, x)
+    shifted = x[:, None] ^ codewords(nested.coarse)[None, :8]
+    assert np.array_equal(
+        row_parities(nested.delta.bits, shifted), np.repeat(inc[:, None], 8, 1)
+    )
 
 
 def test_full_space_fine_code():
@@ -263,7 +275,8 @@ def test_full_space_fine_code():
     nested = build_nested(15, 1.0, 0.4, seed=2024)
     assert nested.fine.k == 15
     assert nested.fine.H.rows == 0
-    assert quantize(nested.fine, 0b101010101010101) == 0b101010101010101
+    x = np.array([0b101010101010101, 0, (1 << 15) - 1], dtype=np.uint64)
+    assert np.array_equal(quantize(nested.fine, x), x)
 
 
 def test_improve_covering_never_hurts():
@@ -277,26 +290,13 @@ def test_improve_covering_never_hurts():
         # at most ceil(log2 n) basis rows were added
         assert better.k - code.k <= 5
         # the old code stays inside the improved one
-        for g in code.G.bits:
-            assert syndrome(better, g) == 0
+        assert not syndromes(better, list(code.G.bits)).any()
 
 
 def test_improve_covering_reaches_gv_slack():
     code = sample_random_linear_code(24, 12, seed=0)
     better = improve_covering(code, seed=0)
     assert diagnostics(better).covering_radius_norm <= gv_distance(0.5) + 0.15
-
-
-def test_export_import_round_trip():
-    code = sample_random_linear_code(14, 6, seed=13)
-    text = export_code(code)
-    back = import_code(text)
-    assert (back.n, back.k) == (code.n, code.k)
-    # same parity checks, so identical cosets
-    rng = np.random.default_rng(1)
-    words = rng.integers(0, 1 << 14, size=50, dtype=np.uint64)
-    assert np.array_equal(syndromes(code, words), syndromes(back, words))
-    assert export_code(back) == text
 
 
 def test_diagnostics_consistency():
@@ -316,12 +316,27 @@ def test_validation_errors():
         LinearCode(n=3, k=1, G=BitMatrix.from_rows([0b111], 3),
                    H=BitMatrix.from_rows([0b011, 0b011], 3))
     with pytest.raises(LengthMismatchError):
-        syndrome(code, 1 << 10)
-    with pytest.raises(LengthMismatchError):
-        syndrome(code, [0, 1, 0])
-    with pytest.raises(LengthMismatchError):
-        coset_leader(code, 1 << 6)
+        syndromes(code, 1 << 10)
     with pytest.raises(ParameterError):
         sample_random_linear_code(8, 9, seed=0)
     with pytest.raises(ParameterError):
         build_nested(16, 0.4, 0.8, seed=0)
+
+
+def test_syndromes_reject_words_wider_than_n():
+    code = sample_random_linear_code(15, 7, seed=0)
+    assert int(syndromes(code, (1 << 15) - 1)) == syndrome(code, (1 << 15) - 1)
+    for bad in (1 << 15, -1, 1 << 64,
+                np.array([3, 1 << 15], dtype=np.uint64)):
+        with pytest.raises(LengthMismatchError):
+            syndromes(code, bad)
+        with pytest.raises(LengthMismatchError):
+            quantize(code, bad)
+    # at n = 64 every uint64 fits; numpy's shift by 64 gives 0
+    wide = sample_random_linear_code(64, 60, seed=0)
+    top = (1 << 64) - 1
+    assert int(syndromes(wide, top)) == syndrome(wide, top)
+    words = np.array([top, 1 << 63, 0], dtype=np.uint64)
+    assert syndromes(wide, words).tolist() == [
+        syndrome(wide, w) for w in words.tolist()
+    ]

@@ -613,10 +613,12 @@ def test_pareto_points_matches_object_scan(seed):
     rows = _near_tie_rows(seed)
     want = _scan_frontier([tuple(r) for r in rows.tolist()])
     assert pareto_points(rows).tolist() == [list(q) for q in want]
-    # the per-block prefilter of tradeoff_curve keeps the same rows
-    blocks = np.array_split(rows, 7)
-    kept = pareto_points(np.concatenate([_rising(b) for b in blocks]))
-    assert kept.tolist() == [list(q) for q in want]
+    # the running filter of tradeoff_curve, fed one block at a time,
+    # keeps the same rows
+    front = rows[:0]
+    for block in np.array_split(rows, 7):
+        front = _rising(np.concatenate([front, block]))
+    assert pareto_points(front).tolist() == [list(q) for q in want]
 
 
 @pytest.mark.parametrize("scheme", ["one_sided", "symmetric"])
@@ -647,6 +649,16 @@ def test_tradeoff_curve_matches_object_scan(scheme, h):
     )
     cols = (curve.e0, curve.e1, curve.theta, curve.a, curve.alpha)
     assert list(zip(*(c.tolist() for c in cols))) == want
+
+
+@pytest.mark.parametrize("scheme", ["one_sided", "symmetric"])
+def test_tradeoff_curve_row_chunks_match_one_call(monkeypatch, scheme):
+    kw = dict(resolution=40, a_points=6, alpha_points=5)
+    whole = tradeoff_curve(scheme, FIG_B, 0.3, **kw)
+    monkeypatch.setattr(bindht.regions, "_PAIR_CHUNK", 7)
+    chunked = tradeoff_curve(scheme, FIG_B, 0.3, **kw)
+    for col in ("e0", "e1", "theta", "a", "alpha"):
+        assert getattr(chunked, col).tolist() == getattr(whole, col).tolist()
 
 
 def test_pareto_points_removes_dominated():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-from bindht.gf2 import build_nested, coset_table, sample_random_linear_code, syndrome
+from bindht.gf2 import build_nested, coset_table, sample_random_linear_code
 from bindht.errors import ParameterError, ResourceLimitError
 from bindht.regions import HypothesisPair, SchemeParams
 import bindht.simkit
@@ -30,6 +30,7 @@ from bindht.simkit import (
     run_korner_marton,
     run_one_sided,
 )
+from gf2_oracle import syndrome
 
 
 def test_gen_dsbs_degenerate_noise():
