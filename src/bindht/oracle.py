@@ -15,11 +15,14 @@ below the float underflow threshold remain usable through their log2.
 the decomposition: it iterates U over the whole type class and Z over
 all 2^n patterns, accumulating exact integer counts per (weight of z,
 resulting weight) cell, and only converts to float at the very end.
-That count table does not depend on p, so it is built once per
-(n, na, nw) and then weighted by each requested p; the route stays
-exhaustive.
+That count table does not depend on p, and the center enters only
+through c + (U + z): a table of exact counts per (weight of z, U + z)
+is built once per (n, na) over every (U, z) pair, regrouped by the
+resulting weight for each center, and then weighted by each requested
+p; the route stays exhaustive.
 """
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -209,27 +212,55 @@ def exact_ball_log2_prob(n, a_count, w_count, t_count, p):
     return float((_logsumexp(log_hyp + terms)) / math.log(2.0))
 
 
+def _popcounts(n):
+    """Weights of the 2^n words of length n, as uint8."""
+    pc = np.zeros(1 << n, dtype=np.uint8)
+    for k in range(n):
+        pc[1 << k: 2 << k] = pc[: 1 << k] + 1
+    return pc
+
+
+@functools.lru_cache(maxsize=1)
+def _xor_counts(n, a_count):
+    """Read-only int64 table N[j, x] = #{(U, z): wt(U) = a_count,
+    wt(z) = j, U + z = x}, of shape (n + 1, 2^n); n <= ENUM_MAX_N.
+
+    Every pair, U over the weight-a_count type class and z over all 2^n
+    patterns, is counted.  A cell is (wt(z) << n) | (U ^ z), at most
+    ENUM_MAX_N * 2^ENUM_MAX_N + 2^ENUM_MAX_N - 1 = 53,247, so cells fit
+    uint16.  Only the last table is kept: callers sweep the center
+    weight innermost.
+    """
+    zs = np.arange(1 << n, dtype=np.uint16)
+    pc = _popcounts(n)
+    jshift = pc.astype(np.uint16) << np.uint16(n)
+    us = zs[pc == a_count]
+    counts = np.zeros((n + 1) << n, dtype=np.int64)
+    rows = max(1, _ENUM_BLOCK >> n)
+    for i in range(0, len(us), rows):
+        cells = (us[i: i + rows, None] ^ zs[None, :]) | jshift
+        counts += np.bincount(cells.ravel(), minlength=len(counts))
+    table = counts.reshape(n + 1, 1 << n)
+    table.flags.writeable = False
+    return table
+
+
 def _enumerate_counts(n, a_count, w_count):
     """Integer count table over (wt(z), resulting weight); n <= ENUM_MAX_N.
 
     Row j, column t counts the pairs (U, z), U over the weight-a_count
     type class and z over all 2^n patterns with wt(z) = j, for which
-    c + U + z has weight t, c being the center of weight w_count.
-    Words fit uint16 and cell indices, at most
-    ENUM_MAX_N * (ENUM_MAX_N + 2) = 168, fit uint8.
+    c + U + z has weight t, c being the center of weight w_count.  It
+    regroups the columns x of `_xor_counts` by wt(c + x).  Float64 sums
+    are exact here: no cell exceeds C(12, 6) * 2^12 < 2^53.
     """
-    zs = np.arange(1 << n, dtype=np.uint16)
-    pc = np.zeros(1 << n, dtype=np.uint8)
-    for k in range(n):
-        pc[1 << k: 2 << k] = pc[: 1 << k] + 1
-    vs = np.uint16((1 << w_count) - 1) ^ zs[pc == a_count]
-    counts = np.zeros((n + 1) * (n + 1), dtype=np.int64)
-    rows = max(1, _ENUM_BLOCK >> n)
-    for i in range(0, len(vs), rows):
-        block = vs[i: i + rows, None] ^ zs[None, :]
-        cells = pc[block] * np.uint8(n + 1) + pc
-        counts += np.bincount(cells.ravel(), minlength=len(counts))
-    return counts.reshape(n + 1, n + 1)
+    table = _xor_counts(n, a_count)
+    t = _popcounts(n)[np.arange(1 << n) ^ ((1 << w_count) - 1)]
+    cells = np.arange(0, (n + 1) ** 2, n + 1)[:, None] + t
+    counts = np.bincount(
+        cells.ravel(), weights=table.ravel(), minlength=(n + 1) ** 2
+    )
+    return counts.astype(np.int64).reshape(n + 1, n + 1)
 
 
 def enumerate_mixed_noise_pmf(n, a_count, w_count, p):

@@ -140,6 +140,7 @@ def unconstrained_pair(h, theta):
 
 def baseline_pair(h, rate, theta):
     """Rate-R time sharing of the unconstrained test (send R n raw bits)."""
+    _check_rate(rate)
     pair = unconstrained_pair(h, theta)
     return time_share(pair, rate)
 
@@ -348,6 +349,7 @@ def stein_sweep(p1, rate, p0_lo, p0_hi, npts, alphas=None):
     ``_MAX_CURVE_ROWS`` level rows (``_STEIN_LEVELS`` per cell) is
     refused.
     """
+    _check_rate(rate)
     if alphas is None:
         alphas = default_alpha_grid(rate)
     alphas = np.asarray(alphas, float)
@@ -359,7 +361,6 @@ def stein_sweep(p1, rate, p0_lo, p0_hi, npts, alphas=None):
         )
     p0s = np.linspace(p0_lo, p0_hi, npts)
     pairs = [HypothesisPair(p0, p1) for p0 in p0s.tolist()]
-    _check_rate(rate)
     cell_p0 = np.repeat(p0s, alphas.size)
     cell_rate = np.tile(np.minimum(rate / alphas, 1.0), npts)
     new, prior, sym = (np.empty(cell_p0.size) for _ in range(3))
@@ -505,13 +506,13 @@ def _rising(rows):
     may filter the rows kept so far together with each new alpha block
     and still keep every frontier row; exact ties go to the earlier
     block, as in one stable sort of all blocks, and no two survivors
-    tie.  fmax skips a NaN e1, as the scan does.
+    tie.  The running maximum starts at -inf and fmax skips a NaN e1,
+    so, as in the scan, a NaN row is dropped and hides no row after it.
     """
     rows = rows[np.lexsort((-rows[:, 1], -rows[:, 0]))]
     e1 = rows[:, 1]
-    keep = np.ones(len(rows), bool)
-    keep[1:] = e1[1:] > np.fmax.accumulate(e1)[:-1]
-    return rows[keep]
+    before = np.fmax.accumulate(np.concatenate(([-math.inf], e1)))[:-1]
+    return rows[e1 > before]
 
 
 def pareto_points(pts):

@@ -162,6 +162,20 @@ def test_rate_outside_unit_interval_is_usage_error(capsys, command, rate):
     assert f"rate={float(rate)!r} outside [0, 1]" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rate", ["inf", "nan", "1.5"])
+@pytest.mark.parametrize("argv", [
+    ["stein", "--p0", "0.01", "--p1", "0.25"],
+    ["exponents", "--scheme", "baseline", "--threshold", "0.2",
+     "--p0", "0.1", "--p1", "0.3"],
+], ids=["stein", "exponents-baseline"])
+def test_rate_checked_before_use(capsys, argv, rate):
+    # the error names the --rate flag, and no grid is built from a bad rate
+    code, out, err = _run(capsys, *argv, "--rate", rate)
+    assert code == 2 and out == ""
+    assert err == f"error: rate={float(rate)!r} outside [0, 1]\n"
+
+
 @pytest.mark.parametrize("resolution", ["0", "-3"])
 def test_stein_resolution_below_one_is_usage_error(capsys, resolution):
     code, out, err = _run(
@@ -383,6 +397,27 @@ def test_validate_full_detects_enumeration_mismatch(capsys, monkeypatch):
     code, out, _ = _run(capsys, "validate", "--level", "full")
     assert code == 1
     assert "FAIL exhaustive enumeration equality" in out
+
+
+def test_validate_full_names_first_mismatch(capsys, monkeypatch):
+    # mismatches at p = 0.25, nt = 5 and 8 and at p = 0.4, nt = 2 of
+    # one (n, na, nw); the loop runs p outside nt, so nt = 5 is named
+    exact = bindht.cli.exact_mixed_noise_pmf_vector
+    bumps = {0.25: [5, 8], 0.4: [2]}
+
+    def perturbed(n, na, nw, p):
+        vec = exact(n, na, nw, p)
+        if (n, na, nw) == (9, 4, 7):
+            vec[bumps.get(p, [])] *= 1.0 + 1e-9
+        return vec
+
+    monkeypatch.setattr(bindht.cli, "exact_mixed_noise_pmf_vector", perturbed)
+    code, out, _ = _run(capsys, "validate", "--level", "full")
+    assert code == 1
+    assert (
+        "FAIL exhaustive enumeration equality: "
+        "pmf mismatch n=9 na=4 nw=7 nt=5\n"
+    ) in out
 
 
 def test_module_entry_point_runs_validate():

@@ -18,6 +18,7 @@ from bindht.oracle import (
     ExactPmfQuery,
     _enumerate_counts,
     _log_comb,
+    _xor_counts,
     enumerate_mixed_noise_pmf,
     exact_ball_log2_prob,
     exact_mixed_noise_pmf,
@@ -67,6 +68,30 @@ def test_enumerate_counts_match_reference_kernel():
         want = _reference_counts(n, na, nw)
         assert np.array_equal(got, want), (n, na, nw)
         assert got.sum() == math.comb(n, na) << n
+
+
+def test_xor_count_table_is_read_only_and_complete():
+    assert _xor_counts.cache_info().maxsize == 1
+    for n, na in ((1, 0), (1, 1), (7, 3), (12, 0), (12, 6), (12, 12)):
+        table = _xor_counts(n, na)
+        assert table.shape == (n + 1, 1 << n) and table.dtype == np.int64
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        # every (U, z) pair lands in one cell
+        assert table.sum() == math.comb(n, na) << n
+        np.testing.assert_array_equal(
+            table.sum(axis=1),
+            [math.comb(n, na) * math.comb(n, j) for j in range(n + 1)],
+        )
+
+
+def test_enumerate_counts_interleaved_calls_match_cold_calls():
+    triples = [(12, 5, 9), (11, 3, 2), (12, 5, 9), (12, 5, 0), (4, 2, 1)]
+    warm = [_enumerate_counts(*t) for t in triples]
+    for t, got in zip(triples, warm):
+        _xor_counts.cache_clear()
+        assert np.array_equal(got, _enumerate_counts(*t)), t
 
 
 def test_enumeration_p_sequence_rows_equal_scalar_calls():

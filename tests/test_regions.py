@@ -661,6 +661,15 @@ def test_tradeoff_curve_row_chunks_match_one_call(monkeypatch, scheme):
         assert getattr(chunked, col).tolist() == getattr(whole, col).tolist()
 
 
+def test_pareto_points_nan_first_row_hides_nothing():
+    # the scan drops a NaN e1 and keeps the row after it
+    rows = np.array([[1.0, np.nan, 0, 0, 1], [0.5, 0.3, 0, 0, 1]])
+    assert pareto_points(rows).tolist() == [[0.5, 0.3, 0, 0, 1]]
+    assert _rising(rows).tolist() == [[0.5, 0.3, 0, 0, 1]]
+    want = _scan_frontier([tuple(r) for r in rows[:, :2].tolist()])
+    assert pareto_points(rows[:, :2]).tolist() == [list(q) for q in want]
+
+
 def test_pareto_points_removes_dominated():
     rows = np.array([
         [0.1, 0.5, 0.1],
