@@ -33,6 +33,7 @@ from .regions import (
     SCHEMES,
     HypothesisPair,
     SchemeParams,
+    _check_rate,
     baseline_pair,
     one_sided_pair,
     stein_sweep,
@@ -119,6 +120,9 @@ def cmd_exponents(args):
     h = HypothesisPair(p0, p1)
     theta = args.threshold
     schemes = args.scheme or list(SCHEMES)
+    if {"one_sided", "symmetric"} & set(schemes):
+        # their params would name the budget rate_x, a field users never set
+        _check_rate(rate)
     rows = []
     for scheme in schemes:
         if scheme == "unconstrained":
@@ -301,13 +305,15 @@ def _check_enumeration_equality():
         for na in range(n + 1):
             for nw in range(n + 1):
                 brutes = enumerate_mixed_noise_pmf(n, na, nw, ps)
-                for p, brute in zip(ps, brutes):
-                    fast = exact_mixed_noise_pmf_vector(n, na, nw, p)
-                    budget = 1e-12 * np.maximum(brute, 1e-300)
-                    bad = np.abs(fast - brute) > budget
-                    if bad.any():
-                        nt = int(np.argmax(bad))
-                        return f"pmf mismatch n={n} na={na} nw={nw} nt={nt}"
+                fasts = np.array(
+                    [exact_mixed_noise_pmf_vector(n, na, nw, p) for p in ps]
+                )
+                budget = 1e-12 * np.maximum(brutes, 1e-300)
+                bad = np.abs(fasts - brutes) > budget
+                if bad.any():
+                    # row-major: the first p with a mismatch, then its nt
+                    nt = int(np.argmax(bad)) % (n + 1)
+                    return f"pmf mismatch n={n} na={na} nw={nw} nt={nt}"
     return None
 
 

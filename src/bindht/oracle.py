@@ -10,6 +10,10 @@ m itself is hypergeometric.  Everything here sums that decomposition
 exactly, either with integer binomial coefficients (small n) or in the
 log domain from a table of log-factorials (large n), so tail values far
 below the float underflow threshold remain usable through their log2.
+In the linear domain the closed form reads a cached per-(n, p) shift
+kernel: the law of s + W1 - W2 depends only on (n, p), so its rows for
+every s are built once, and each pmf is the hypergeometric weights
+times the kernel rows s_m.
 
 ``enumerate_mixed_noise_pmf`` is an independent route used to validate
 the decomposition: it iterates U over the whole type class and Z over
@@ -38,7 +42,7 @@ _LINEAR_N = 30
 ENUM_MAX_N = 12
 
 #: (U, Z) pairs handled per vectorised step of the enumeration
-_ENUM_BLOCK = 1 << 18
+_ENUM_BLOCK = 1 << 17
 
 #: _LOG_FACT[k] = ln(k!), extended by doubling when a larger k arrives
 _LOG_FACT = np.zeros(1)
@@ -55,16 +59,22 @@ class ExactPmfQuery:
     p: float
 
     def __post_init__(self):
-        for name in ("n", "a_count", "w_count", "t_count"):
-            _require_int(name, getattr(self, name))
-        if self.n < 1:
-            raise ParameterError(f"n={self.n} must be positive")
-        for name in ("a_count", "w_count", "t_count"):
-            v = getattr(self, name)
-            if not (0 <= v <= self.n):
-                raise ParameterError(f"{name}={v} outside [0, {self.n}]")
-        if not (0.0 <= self.p <= 1.0):
-            raise ParameterError(f"p={self.p} outside [0, 1]")
+        _check_query(self.n, self.a_count, self.w_count, self.t_count, self.p)
+
+
+def _check_query(n, a_count, w_count, t_count, p):
+    """Refuse a query ExactPmfQuery would refuse, with the same message."""
+    counts = {"a_count": a_count, "w_count": w_count, "t_count": t_count}
+    _require_int("n", n)
+    for name, v in counts.items():
+        _require_int(name, v)
+    if n < 1:
+        raise ParameterError(f"n={n} must be positive")
+    for name, v in counts.items():
+        if not (0 <= v <= n):
+            raise ParameterError(f"{name}={v} outside [0, {n}]")
+    if not (0.0 <= p <= 1.0):
+        raise ParameterError(f"p={p} outside [0, 1]")
 
 
 def _require_int(name, v):
@@ -114,27 +124,37 @@ def _logsumexp(v):
     return m + math.log(np.sum(np.exp(v - m)))
 
 
-def _pmf_vector_linear(n, na, nw, p):
-    """Exact pmf of the resulting weight over 0..n; integer combinatorics."""
-    denom = math.comb(n, na)
-    pmf = np.zeros(n + 1)
+@functools.lru_cache(maxsize=8)
+def _shift_kernel(n, p):
+    """Read-only K[s, t] = P(s + W1 - W2 = t), W1 ~ Bin(n - s, p) and
+    W2 ~ Bin(s, p) independent, for s, t in 0..n; integer combinatorics.
+
+    Callers pass p as a float, so equal crossovers share one entry, and
+    sweep p innermost: a pmf for each (na, nw) at a few p reuses them.
+    """
     q = 1.0 - p
     pows_p = p ** np.arange(n + 1)
     pows_q = q ** np.arange(n + 1)
-    for m in range(*_overlap_range(n, na, nw)):
-        s = nw + na - 2 * m
-        hyp = math.comb(nw, m) * math.comb(n - nw, na - m) / denom
-        w2 = np.array(
-            [math.comb(s, j) for j in range(s + 1)]
-        ) * pows_p[: s + 1] * pows_q[s::-1]
-        w1 = np.array(
-            [math.comb(n - s, j) for j in range(n - s + 1)]
-        ) * pows_p[: n - s + 1] * pows_q[n - s::-1]
-        # weight = s + j1 - j2
-        for j2, prob2 in enumerate(w2):
-            t0 = s - j2
-            pmf[t0: t0 + n - s + 1] += hyp * prob2 * w1
-    return pmf
+    rows = [
+        np.array([math.comb(k, j) for j in range(k + 1)])
+        * pows_p[: k + 1] * pows_q[k::-1]
+        for k in range(n + 1)
+    ]
+    kernel = np.empty((n + 1, n + 1))
+    for s in range(n + 1):
+        # weight = s + j1 - j2 = j1 + (s - j2): W1 against W2 reversed
+        kernel[s] = np.convolve(rows[n - s], rows[s][::-1])
+    kernel.flags.writeable = False
+    return kernel
+
+
+def _pmf_vector_linear(n, na, nw, p):
+    """Exact pmf of the resulting weight over 0..n; integer combinatorics."""
+    denom = math.comb(n, na)
+    ms = range(*_overlap_range(n, na, nw))
+    hyp = [math.comb(nw, m) * math.comb(n - nw, na - m) / denom for m in ms]
+    shifts = [nw + na - 2 * m for m in ms]
+    return np.array(hyp) @ _shift_kernel(n, float(p))[shifts]
 
 
 def exact_mixed_noise_pmf(query):
@@ -180,7 +200,7 @@ def _pmf_vector(n, na, nw, p):
 
 def exact_mixed_noise_pmf_vector(n, a_count, w_count, p):
     """Full pmf over resulting weights 0..n (blocklength-limited)."""
-    ExactPmfQuery(n, a_count, w_count, 0, p)
+    _check_query(n, a_count, w_count, 0, p)
     if n > 64:
         raise ResourceLimitError(f"pmf vector limited to n <= 64, got {n}")
     return _pmf_vector(n, a_count, w_count, p)
@@ -188,7 +208,7 @@ def exact_mixed_noise_pmf_vector(n, a_count, w_count, p):
 
 def exact_ball_log2_prob(n, a_count, w_count, t_count, p):
     """log2 P(wt(c + U + Z) <= t_count), stable for large n."""
-    ExactPmfQuery(n, a_count, w_count, t_count, p)
+    _check_query(n, a_count, w_count, t_count, p)
     if p == 0.0 or p == 1.0 or n <= _LINEAR_N:
         vec = _pmf_vector(n, a_count, w_count, p)
         total = float(np.sum(vec[: t_count + 1]))
@@ -212,11 +232,13 @@ def exact_ball_log2_prob(n, a_count, w_count, t_count, p):
     return float((_logsumexp(log_hyp + terms)) / math.log(2.0))
 
 
+@functools.lru_cache(maxsize=1)
 def _popcounts(n):
-    """Weights of the 2^n words of length n, as uint8."""
+    """Read-only weights of the 2^n words of length n, as uint8."""
     pc = np.zeros(1 << n, dtype=np.uint8)
     for k in range(n):
         pc[1 << k: 2 << k] = pc[: 1 << k] + 1
+    pc.flags.writeable = False
     return pc
 
 
@@ -277,7 +299,7 @@ def enumerate_mixed_noise_pmf(n, a_count, w_count, p):
         raise ParameterError(f"p must be a scalar or 1-D, got {np.shape(p)}")
     ps = list(p) if np.ndim(p) else [p]
     for q in ps:
-        ExactPmfQuery(n, a_count, w_count, 0, q)
+        _check_query(n, a_count, w_count, 0, q)
     if n > ENUM_MAX_N:
         raise ResourceLimitError(
             f"exhaustive enumeration limited to n <= {ENUM_MAX_N}, got {n}"

@@ -445,7 +445,8 @@ def tradeoff_curve(scheme, h, rate, resolution=200, a_points=25,
     of the block runs the scheme at rate/alpha, the rest is ignored,
     scaling both exponents by alpha.  The Pareto frontier of all grid
     points is returned.  The reference schemes sweep the threshold
-    only; time sharing cannot improve them.  A request that would
+    only, strictly between p0 and p1, so they need p0 < p1; time
+    sharing cannot improve them.  A request that would
     evaluate more than ``_MAX_CURVE_ROWS`` grid points is refused.
     Grid rows are evaluated ``_PAIR_CHUNK`` at a time, and each alpha
     block is filtered together with the rows kept so far, so memory
@@ -465,6 +466,10 @@ def tradeoff_curve(scheme, h, rate, resolution=200, a_points=25,
             f"of {_MAX_CURVE_ROWS}; lower the resolution"
         )
     if scheme in ("unconstrained", "baseline"):
+        if not h.p0 < h.p1:
+            raise ParameterError(
+                f"{scheme} curve needs p0 < p1, got p0={h.p0}, p1={h.p1}"
+            )
         off = 1e-6 * max(h.p1 - h.p0, 1.0)
         thetas = np.linspace(h.p0 + off, h.p1 - off, resolution)
         # a time-sharing fraction of 1 leaves the pair unchanged

@@ -168,12 +168,29 @@ def test_rate_outside_unit_interval_is_usage_error(capsys, command, rate):
     ["stein", "--p0", "0.01", "--p1", "0.25"],
     ["exponents", "--scheme", "baseline", "--threshold", "0.2",
      "--p0", "0.1", "--p1", "0.3"],
-], ids=["stein", "exponents-baseline"])
+    ["exponents", "--scheme", "one_sided", "--threshold", "0.2",
+     "--p0", "0.1", "--p1", "0.3"],
+    ["exponents", "--scheme", "symmetric", "--threshold", "0.2",
+     "--p0", "0.1", "--p1", "0.3"],
+], ids=["stein", "exponents-baseline", "exponents-one_sided",
+        "exponents-symmetric"])
 def test_rate_checked_before_use(capsys, argv, rate):
     # the error names the --rate flag, and no grid is built from a bad rate
     code, out, err = _run(capsys, *argv, "--rate", rate)
     assert code == 2 and out == ""
     assert err == f"error: rate={float(rate)!r} outside [0, 1]\n"
+
+
+@pytest.mark.parametrize("scheme", ["unconstrained", "baseline"])
+def test_reference_curve_at_equal_p_names_p0_and_p1(capsys, scheme):
+    # the threshold grid of a reference curve lies strictly between p0
+    # and p1, so p0 = p1 leaves it empty
+    code, out, err = _run(
+        capsys, "tradeoff", "--p0", "0.1", "--p1", "0.1", "--rate", "0.3",
+        "--scheme", scheme,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {scheme} curve needs p0 < p1, got p0=0.1, p1=0.1\n"
 
 
 @pytest.mark.parametrize("resolution", ["0", "-3"])

@@ -18,6 +18,8 @@ from bindht.oracle import (
     ExactPmfQuery,
     _enumerate_counts,
     _log_comb,
+    _overlap_range,
+    _shift_kernel,
     _xor_counts,
     enumerate_mixed_noise_pmf,
     exact_ball_log2_prob,
@@ -114,6 +116,68 @@ def test_enumeration_p_sequence_rows_equal_scalar_calls():
 def test_enumeration_p_sequence_validated(ps):
     with pytest.raises(ParameterError):
         enumerate_mixed_noise_pmf(6, 2, 3, ps)
+
+
+def _reference_pmf_linear(n, na, nw, p):
+    # the original closed-form loop over (m, j2), building the binomial
+    # rows on every call; kept as the reference for the shift kernel
+    denom = math.comb(n, na)
+    pmf = np.zeros(n + 1)
+    q = 1.0 - p
+    pows_p = p ** np.arange(n + 1)
+    pows_q = q ** np.arange(n + 1)
+    for m in range(*_overlap_range(n, na, nw)):
+        s = nw + na - 2 * m
+        hyp = math.comb(nw, m) * math.comb(n - nw, na - m) / denom
+        w2 = np.array(
+            [math.comb(s, j) for j in range(s + 1)]
+        ) * pows_p[: s + 1] * pows_q[s::-1]
+        w1 = np.array(
+            [math.comb(n - s, j) for j in range(n - s + 1)]
+        ) * pows_p[: n - s + 1] * pows_q[n - s::-1]
+        # weight = s + j1 - j2
+        for j2, prob2 in enumerate(w2):
+            t0 = s - j2
+            pmf[t0: t0 + n - s + 1] += hyp * prob2 * w1
+    return pmf
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 16, 24, 30, 40, 64])
+def test_pmf_vector_matches_reference_loop(n):
+    # every (na, nw) up to n = 16, every seventh count and n beyond; the
+    # kernel sums in another order, so entries move by a few ulps, and
+    # below 1e-290 only subnormal ulps, which are not compared
+    counts = range(n + 1) if n <= 16 else sorted({*range(0, n + 1, 7), n})
+    for p in (1e-9, 0.1, 0.25, 0.4, 0.5):
+        for na in counts:
+            for nw in counts:
+                want = _reference_pmf_linear(n, na, nw, p)
+                got = exact_mixed_noise_pmf_vector(n, na, nw, p)
+                big = want > 1e-290
+                np.testing.assert_allclose(
+                    got[big], want[big], rtol=1e-14, atol=0.0,
+                    err_msg=f"n={n} na={na} nw={nw} p={p}",
+                )
+
+
+def test_shift_kernel_rows_are_distributions():
+    assert _shift_kernel.cache_info().maxsize == 8
+    for n, p in ((1, 0.3), (12, 0.1), (30, 0.25), (64, 0.5), (64, 1e-9)):
+        kernel = _shift_kernel(n, p)
+        assert kernel.shape == (n + 1, n + 1)
+        np.testing.assert_allclose(kernel.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+        assert not kernel.flags.writeable
+        with pytest.raises(ValueError):
+            kernel[0, 0] = 1.0
+
+
+def test_pmf_vector_array_p_matches_float_p():
+    # the kernel cache is keyed on float(p), so a 0-d array shares the
+    # float's entry and its bytes
+    for n, na, nw, p in ((12, 5, 7, 0.25), (40, 11, 3, 0.1)):
+        want = exact_mixed_noise_pmf_vector(n, na, nw, p).tobytes()
+        for q in (np.array(p), np.float64(p)):
+            assert exact_mixed_noise_pmf_vector(n, na, nw, q).tobytes() == want
 
 
 def test_pmf_normalizes():
@@ -263,6 +327,22 @@ def test_query_validation():
         enumerate_mixed_noise_pmf(13, 2, 2, 0.3)
     with pytest.raises(ResourceLimitError):
         exact_mixed_noise_pmf_vector(65, 2, 2, 0.3)
+
+
+@pytest.mark.parametrize(
+    "fn", [exact_mixed_noise_pmf_vector, enumerate_mixed_noise_pmf],
+    ids=["closed-form", "enumeration"],
+)
+@pytest.mark.parametrize("args", [
+    (6, 2.5, 3, 0.1), (6, 2, 7, 0.1), (6, 2, 3, float("nan")),
+], ids=["non-integer", "above-n", "nan-p"])
+def test_pmf_routes_refuse_as_the_query_does(fn, args):
+    # both routes skip building a query, and give its message
+    with pytest.raises(ParameterError) as want:
+        ExactPmfQuery(*args[:3], 0, args[3])
+    with pytest.raises(ParameterError) as got:
+        fn(*args)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize(
