@@ -206,6 +206,7 @@ def cmd_simulate(args):
     scheme = (args.scheme or ["one_sided"])[0]
     if scheme not in ("one_sided", "korner_marton"):
         raise ParameterError(f"cannot simulate scheme {scheme!r}")
+    _check_rate(rate)
     params = SchemeParams(a=args.a, theta=args.threshold, rate_x=rate)
     cfg = SimConfig(
         n=args.n, trials=args.trials, seed=args.seed,

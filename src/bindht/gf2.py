@@ -412,13 +412,11 @@ def improve_covering(code, seed=None, rounds=None, candidates=64):
     return current
 
 
-def build_nested(n, rate_fine, rate_coarse, seed=None, improve=False):
+def build_nested(n, rate_fine, rate_coarse, seed=None):
     """Random nested pair at the requested rate pair (rounded to 1/n).
 
     The coarse generator forms the bottom rows of the fine one, so
-    containment holds by construction.  With ``improve`` the fine code
-    additionally receives covering-improvement rows, raising its rate
-    slightly.
+    containment holds by construction.
     """
     if not (0.0 <= rate_coarse <= rate_fine <= 1.0):
         raise ParameterError(
@@ -442,10 +440,6 @@ def build_nested(n, rate_fine, rate_coarse, seed=None, improve=False):
     fine = LinearCode(
         n, k1, BitMatrix.from_rows(rows, n), _parity_check(rows, n, k1)
     )
-    if improve and k1 < n:
-        fine = improve_covering(fine, rng)
-        rows = list(fine.G.bits)
-        k1 = fine.k
     # difference rows: the part of the coarse dual not spanned by the
     # fine parity check, reduced for determinism
     basis = []

@@ -7,13 +7,14 @@ overlap m between the supports of c and U, that weight is
 s + W1 - W2 with s = nw + na - 2m, W1 ~ Bin(n - s, p) counting flips
 off the combined support and W2 ~ Bin(s, p) counting flips on it, while
 m itself is hypergeometric.  Everything here sums that decomposition
-exactly, either with integer binomial coefficients (small n) or in the
-log domain from a table of log-factorials (large n), so tail values far
+exactly.  Point and ball probabilities are summed in the log domain
+from a table of log-factorials, at every n and p, so tail values far
 below the float underflow threshold remain usable through their log2.
-In the linear domain the closed form reads a cached per-(n, p) shift
-kernel: the law of s + W1 - W2 depends only on (n, p), so its rows for
-every s are built once, and each pmf is the hypergeometric weights
-times the kernel rows s_m.
+Only the full pmf vector (n <= 64) uses integer binomial coefficients:
+it reads a cached per-(n, p) shift kernel, since the law of
+s + W1 - W2 depends only on (n, p), so its rows for every s are built
+once, and each pmf is the hypergeometric weights times the kernel rows
+s_m.
 
 ``enumerate_mixed_noise_pmf`` is an independent route used to validate
 the decomposition: it iterates U over the whole type class and Z over
@@ -34,9 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
-
-#: largest blocklength for the integer-combinatorics path
-_LINEAR_N = 30
 
 #: largest blocklength for exhaustive (U, Z) enumeration
 ENUM_MAX_N = 12
@@ -112,8 +110,10 @@ def _log_hyp_weights(n, na, nw):
 
 
 def _log_binom_pmf(k, p):
-    """Log-pmf vector of Bin(k, p) over 0..k; requires 0 < p < 1."""
+    """Log-pmf vector of Bin(k, p) over 0..k; a point mass if p is 0 or 1."""
     js = np.arange(k + 1)
+    if p == 0.0 or p == 1.0:
+        return np.where(js == (0 if p == 0.0 else k), 0.0, -math.inf)
     return _log_comb(k, js) + js * math.log(p) + (k - js) * math.log1p(-p)
 
 
@@ -148,8 +148,45 @@ def _shift_kernel(n, p):
     return kernel
 
 
-def _pmf_vector_linear(n, na, nw, p):
-    """Exact pmf of the resulting weight over 0..n; integer combinatorics."""
+def _log_mixture(n, na, nw, nt, p, ball):
+    """ln P(wt(c + U + Z) = nt), or ln P(... <= nt) with ``ball``.
+
+    For each overlap m the weight is nt when W2 = j and W1 = j + d,
+    d = nt - s; the ball reads the CDF of W1 there, clipped at n - s.
+    """
+    ms, log_hyp = _log_hyp_weights(n, na, nw)
+    terms = np.full(len(ms), -math.inf)
+    for i, m in enumerate(ms):
+        s = nw + na - 2 * m
+        d = nt - s
+        js = np.arange(max(0, -d), (s if ball else min(s, n - s - d)) + 1)
+        if len(js) == 0:
+            continue
+        lw1 = _log_binom_pmf(n - s, p)
+        if ball:
+            lw1 = np.logaddexp.accumulate(lw1)
+        idx = np.minimum(js + d, n - s)
+        terms[i] = _logsumexp(_log_binom_pmf(s, p)[js] + lw1[idx])
+    return _logsumexp(log_hyp + terms)
+
+
+def exact_mixed_noise_pmf(query):
+    """P(wt(c + U + Z) = t_count) for the query, exactly."""
+    return float(math.exp(_log_mixture(
+        query.n, query.a_count, query.w_count, query.t_count, query.p,
+        ball=False,
+    )))
+
+
+def exact_mixed_noise_pmf_vector(n, a_count, w_count, p):
+    """Full pmf over resulting weights 0..n (blocklength-limited).
+
+    At p in {0, 1} the kernel rows are point masses (0.0 ** 0 is 1).
+    """
+    _check_query(n, a_count, w_count, 0, p)
+    if n > 64:
+        raise ResourceLimitError(f"pmf vector limited to n <= 64, got {n}")
+    na, nw = a_count, w_count
     denom = math.comb(n, na)
     ms = range(*_overlap_range(n, na, nw))
     hyp = [math.comb(nw, m) * math.comb(n - nw, na - m) / denom for m in ms]
@@ -157,79 +194,12 @@ def _pmf_vector_linear(n, na, nw, p):
     return np.array(hyp) @ _shift_kernel(n, float(p))[shifts]
 
 
-def exact_mixed_noise_pmf(query):
-    """P(wt(c + U + Z) = t_count) for the query, exactly."""
-    n, na, nw, nt, p = (
-        query.n, query.a_count, query.w_count, query.t_count, query.p
-    )
-    if p == 0.0 or p == 1.0 or n <= _LINEAR_N:
-        return float(_pmf_vector(n, na, nw, p)[nt])
-    ms, log_hyp = _log_hyp_weights(n, na, nw)
-    terms = np.full(len(ms), -math.inf)
-    for i, m in enumerate(ms):
-        s = nw + na - 2 * m
-        d = nt - s
-        if d < -s or d > n - s:
-            continue
-        lw2 = _log_binom_pmf(s, p)
-        lw1 = _log_binom_pmf(n - s, p)
-        js = np.arange(max(0, -d), min(s, n - s - d) + 1)
-        if len(js) == 0:
-            continue
-        terms[i] = _logsumexp(lw2[js] + lw1[js + d])
-    return float(math.exp(_logsumexp(log_hyp + terms)))
-
-
-def _pmf_vector_degenerate(n, na, nw, p):
-    """p in {0, 1}: only the hypergeometric overlap is random."""
-    denom = math.comb(n, na)
-    pmf = np.zeros(n + 1)
-    for m in range(*_overlap_range(n, na, nw)):
-        s = nw + na - 2 * m
-        t = s if p == 0.0 else n - s
-        pmf[t] += math.comb(nw, m) * math.comb(n - nw, na - m) / denom
-    return pmf
-
-
-def _pmf_vector(n, na, nw, p):
-    """Full pmf over 0..n by the linear-domain route for this p."""
-    if p == 0.0 or p == 1.0:
-        return _pmf_vector_degenerate(n, na, nw, p)
-    return _pmf_vector_linear(n, na, nw, p)
-
-
-def exact_mixed_noise_pmf_vector(n, a_count, w_count, p):
-    """Full pmf over resulting weights 0..n (blocklength-limited)."""
-    _check_query(n, a_count, w_count, 0, p)
-    if n > 64:
-        raise ResourceLimitError(f"pmf vector limited to n <= 64, got {n}")
-    return _pmf_vector(n, a_count, w_count, p)
-
-
 def exact_ball_log2_prob(n, a_count, w_count, t_count, p):
     """log2 P(wt(c + U + Z) <= t_count), stable for large n."""
     _check_query(n, a_count, w_count, t_count, p)
-    if p == 0.0 or p == 1.0 or n <= _LINEAR_N:
-        vec = _pmf_vector(n, a_count, w_count, p)
-        total = float(np.sum(vec[: t_count + 1]))
-        return math.log2(total) if total > 0.0 else -math.inf
-    na, nw, nt = a_count, w_count, t_count
-    ms, log_hyp = _log_hyp_weights(n, na, nw)
-    terms = np.full(len(ms), -math.inf)
-    for i, m in enumerate(ms):
-        s = nw + na - 2 * m
-        d = nt - s
-        if d < -s:
-            continue
-        lw2 = _log_binom_pmf(s, p)
-        lw1 = _log_binom_pmf(n - s, p)
-        lcdf1 = np.logaddexp.accumulate(lw1)
-        js = np.arange(max(0, -d), s + 1)
-        if len(js) == 0:
-            continue
-        idx = np.minimum(js + d, n - s)
-        terms[i] = _logsumexp(lw2[js] + lcdf1[idx])
-    return float((_logsumexp(log_hyp + terms)) / math.log(2.0))
+    log_prob = _log_mixture(n, a_count, w_count, t_count, p, ball=True)
+    # rounding can put a near-full ball a few ulps above 1
+    return min(0.0, float(log_prob / math.log(2.0)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -367,12 +337,7 @@ def _binom_tail(n, p, k_from):
 
 def _log2_binom_tail(n, p, k_edge, upper):
     """log2 P(Bin >= k_edge) if upper else log2 P(Bin <= k_edge)."""
-    if p in (0.0, 1.0):
-        w = 0 if p == 0.0 else n
-        hit = (w >= k_edge) if upper else (w <= k_edge)
-        return 0.0 if hit else -math.inf
     ks = np.arange(k_edge, n + 1) if upper else np.arange(0, k_edge + 1)
     if len(ks) == 0:
         return -math.inf
-    logs = _log_comb(n, ks) + ks * math.log(p) + (n - ks) * math.log1p(-p)
-    return float(_logsumexp(logs) / math.log(2.0))
+    return float(_logsumexp(_log_binom_pmf(n, p)[ks]) / math.log(2.0))

@@ -75,14 +75,12 @@ class SchemeParams:
 
     a is the quantization noise level, theta the decision threshold,
     rate_x the helper message rate; the bin rate 1 - h(a) - rate_x is
-    derived.  time_share scales both exponents (a fraction of samples
-    is simply ignored).
+    derived.
     """
 
     a: float
     theta: float
     rate_x: float
-    time_share: float = 1.0
 
     def __post_init__(self):
         if not (0.0 <= self.a <= 0.5 + _TOL):
@@ -91,8 +89,6 @@ class SchemeParams:
             raise ParameterError(f"rate_x={self.rate_x} outside [0, 1]")
         if not (0.0 <= self.theta <= 1.0):
             raise ParameterError(f"theta={self.theta} outside [0, 1]")
-        if not (0.0 <= self.time_share <= 1.0):
-            raise ParameterError(f"time_share={self.time_share} outside [0, 1]")
         raw_bin = 1.0 - binary_entropy(self.a) - self.rate_x
         if raw_bin < -1e-6:
             raise ParameterError(
@@ -233,8 +229,7 @@ def one_sided_pair(h, params):
         )
     theta = min(max(theta, lo), hi)
     e0, e1 = _pair_rows(h, [a], [theta], params.rate_x)
-    pair = ExponentPair(float(e0[0]), float(e1[0]))
-    return time_share(pair, params.time_share)
+    return ExponentPair(float(e0[0]), float(e1[0]))
 
 
 def symmetric_pair(h, rate, theta):

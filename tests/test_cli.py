@@ -172,8 +172,10 @@ def test_rate_outside_unit_interval_is_usage_error(capsys, command, rate):
      "--p0", "0.1", "--p1", "0.3"],
     ["exponents", "--scheme", "symmetric", "--threshold", "0.2",
      "--p0", "0.1", "--p1", "0.3"],
+    ["simulate", "--preset", "fig3a", "--threshold", "0.1", "--n", "15",
+     "--trials", "10"],
 ], ids=["stein", "exponents-baseline", "exponents-one_sided",
-        "exponents-symmetric"])
+        "exponents-symmetric", "simulate"])
 def test_rate_checked_before_use(capsys, argv, rate):
     # the error names the --rate flag, and no grid is built from a bad rate
     code, out, err = _run(capsys, *argv, "--rate", rate)

@@ -2,8 +2,11 @@
 
 The mixed-noise pmf has three routes: the binomial-sum lemma evaluation,
 an exhaustive enumeration over all noise patterns, and (for zero
-quantization) a direct two-binomial convolution.  They must agree to
-near machine precision wherever they overlap.
+quantization) a direct two-binomial convolution.  The lemma itself is
+evaluated twice: the pmf vector (n <= 64) from integer binomial
+coefficients, and point and ball probabilities in the log domain at
+every n.  They must agree to near machine precision wherever they
+overlap.
 """
 
 import math
@@ -211,13 +214,15 @@ def test_pmf_complement_symmetries():
 
 
 def test_pmf_scalar_matches_vector():
-    n, na, nw, p = 33, 6, 12, 0.2
-    vec = exact_mixed_noise_pmf_vector(n, na, nw, p)
-    for nt in (0, 5, 18, 33):
-        q = ExactPmfQuery(n, na, nw, nt, p)
-        assert exact_mixed_noise_pmf(q) == pytest.approx(
-            vec[nt], rel=1e-12, abs=1e-300
-        )
+    # the log route against the integer one, degenerate p included
+    for n, na, nw in ((5, 2, 3), (33, 6, 12), (64, 40, 23)):
+        for p in (0.0, 0.2, 1.0):
+            vec = exact_mixed_noise_pmf_vector(n, na, nw, p)
+            for nt in range(n + 1):
+                q = ExactPmfQuery(n, na, nw, nt, p)
+                assert exact_mixed_noise_pmf(q) == pytest.approx(
+                    vec[nt], rel=1e-12, abs=1e-300
+                ), (n, na, nw, nt, p)
 
 
 def test_pmf_degenerate_p():
@@ -240,12 +245,37 @@ def test_ball_trivial_cases():
 
 
 def test_ball_log_matches_linear_sum():
-    n, na, nw, p = 30, 8, 11, 0.26
-    vec = exact_mixed_noise_pmf_vector(n, na, nw, p)
-    for nt in (0, 3, 12, 30):
-        want = math.fsum(vec[: nt + 1])
-        got = exact_ball_log2_prob(n, na, nw, nt, p)
-        assert 2.0 ** got == pytest.approx(want, rel=1e-10)
+    for n in (30, 47, 64):
+        for p in (0.0, 1.0, 0.26):
+            for na, nw in ((8, 11), (n - 5, n // 2)):
+                vec = exact_mixed_noise_pmf_vector(n, na, nw, p)
+                for nt in (0, 3, 12, n - 1, n):
+                    want = math.fsum(vec[: nt + 1])
+                    got = exact_ball_log2_prob(n, na, nw, nt, p)
+                    assert 2.0 ** got == pytest.approx(want, rel=1e-10), (
+                        n, na, nw, nt, p
+                    )
+
+
+def test_full_ball_is_certain():
+    # the first two sum to a few ulps above 1 before the clamp; with
+    # one overlap and p in {0, 1} every term is exact
+    for n, na, nw, p in (
+        (2000, 666, 1000, 0.3), (31, 10, 15, 0.1),
+        (40, 0, 17, 0.0), (40, 13, 0, 1.0), (4000, 0, 2000, 1.0),
+    ):
+        assert exact_ball_log2_prob(n, na, nw, n, p) == 0.0
+    # elsewhere rounding leaves a full ball within a few ulps of 1, and
+    # no ball above it
+    for n in (1, 12, 47):
+        counts = sorted({*range(0, n + 1, 1 if n <= 12 else 4), n})
+        for na in counts:
+            for nw in counts:
+                for p in (0.0, 1.0, 0.3):
+                    for nt in (n - 1, n):
+                        got = exact_ball_log2_prob(n, na, nw, nt, p)
+                        assert got <= 0.0, (n, na, nw, nt, p)
+                    assert got > -1e-12, (n, na, nw, p)
 
 
 def test_log_comb_against_exact_integers():
@@ -271,6 +301,18 @@ def test_ball_log_large_n_underflow_safe():
     # but stays finite in the log domain
     l2 = exact_ball_log2_prob(4000, 0, 0, 40, 0.3)
     assert -4000.0 < l2 < -1000.0
+    # a single (U, Z) outcome reaches weight 0 in each case below: Z
+    # must cancel c + U, or (p = 0) U must cancel c
+    p_small, p_large = 1e-300, 1.0 - 1e-12
+    cases = [
+        ((3, 2, 0, 0, p_small),
+         2 * math.log2(p_small) + math.log2(1.0 - p_small)),
+        ((30, 28, 30, 0, p_large),
+         2 * math.log2(p_large) + 28 * math.log2(1.0 - p_large)),
+        ((4000, 2000, 2000, 0, 0.0), -math.log2(math.comb(4000, 2000))),
+    ]
+    for args, want in cases:
+        assert exact_ball_log2_prob(*args) == pytest.approx(want, rel=1e-9)
 
 
 def test_np_exact_errors_against_scipy():
