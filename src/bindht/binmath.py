@@ -3,9 +3,9 @@
 Everything is measured in bits (all logarithms base 2).  Probabilities
 live in [0, 1]; the conventions 0*log(0) = 0 and d(p||q) = +inf for
 q in {0, 1} with p != q are applied throughout.  The scalar functions
-check their domain; the two array helpers, `xlogy` and
-`inverse_binary_entropy_vec`, are the elementwise building blocks of
-the exponent kernels and trust their callers.
+check their domain and stay scalar code; the array helpers (`xlogy`,
+`_h_vec`, `_conv_vec`, `binary_divergence_vec`, the inverse entropy) are
+the elementwise building blocks of the kernels and trust their callers.
 """
 
 import math
@@ -22,10 +22,10 @@ _LN2 = math.log(2.0)
 _LN4 = math.log(4.0)
 
 
-def _check_unit(x, name):
-    if not (-DOMAIN_TOL <= x <= 1.0 + DOMAIN_TOL):
-        raise ParameterError(f"{name}={x!r} outside [0, 1]")
-    return min(max(x, 0.0), 1.0)
+def _check_unit(x, name, hi=1.0):
+    if not (-DOMAIN_TOL <= x <= hi + DOMAIN_TOL):
+        raise ParameterError(f"{name}={x!r} outside [0, {hi:g}]")
+    return min(max(float(x), 0.0), hi)
 
 
 def binary_entropy(p):
@@ -71,9 +71,7 @@ def inverse_binary_entropy(y):
 
     Monotone to within the 1e-12 bisection tolerance.
     """
-    if not (-DOMAIN_TOL <= y <= 1.0 + DOMAIN_TOL):
-        raise ParameterError(f"y={y!r} outside [0, 1]")
-    y = min(max(y, 0.0), 1.0)
+    y = _check_unit(y, "y")
     if y == 0.0:
         return 0.0
     if y == 1.0:
@@ -92,9 +90,7 @@ def inverse_binary_entropy(y):
 
 def gv_distance(rate):
     """Gilbert-Varshamov radius h^{-1}(1 - R) of a rate-R code."""
-    if not (-DOMAIN_TOL <= rate <= 1.0 + DOMAIN_TOL):
-        raise ParameterError(f"rate={rate!r} outside [0, 1]")
-    return inverse_binary_entropy(1.0 - min(max(rate, 0.0), 1.0))
+    return inverse_binary_entropy(1.0 - _check_unit(rate, "rate"))
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +108,34 @@ def xlogy(x, y):
     out = np.log(np.where(x != 0, y, 1.0))
     out *= x
     return out
+
+
+def _h_vec(u):
+    """Binary entropy of an array, safe at the endpoints."""
+    u = np.clip(u, 0.0, 1.0)
+    return -(xlogy(u, u) + xlogy(1.0 - u, 1.0 - u)) / _LN2
+
+
+def _conv_vec(u, p):
+    """Binary convolution u * p = u (1 - p) + p (1 - u), elementwise."""
+    return u + p - 2.0 * p * u
+
+
+def binary_divergence_vec(p, q):
+    """d(p||q) in bits, elementwise over broadcast arrays in [0, 1].
+
+    The scalar's conventions: 0 where p = q, +inf where q is 0 or 1 and
+    p differs from it, and a clamp at 0 against rounding.  p / q
+    overflows for a subnormal q; the log difference is taken there.
+    """
+    p, q = np.asarray(p, float), np.asarray(q, float)
+    edge = (q <= 0.0) | (q >= 1.0)
+    q_in = np.where(edge, 0.5, q)
+    tiny = q_in < sys.float_info.min
+    head = xlogy(p, p / np.where(tiny, 1.0, q_in))
+    head = np.where(tiny, head - xlogy(p, q_in), head)
+    d = (head + xlogy(1.0 - p, (1.0 - p) / (1.0 - q_in))) / _LN2
+    return np.where(edge, np.where(p == q, 0.0, np.inf), np.maximum(d, 0.0))
 
 
 def inverse_binary_entropy_vec(y):

@@ -31,41 +31,28 @@ the clipped target.
 """
 
 import math
-import sys
 
 import numpy as np
 
-from .binmath import inverse_binary_entropy_vec, xlogy
+from .binmath import (
+    _LN2,
+    DOMAIN_TOL,
+    _check_unit,
+    _conv_vec,
+    _h_vec,
+    binary_divergence_vec,
+    inverse_binary_entropy_vec,
+    xlogy,
+)
 from .errors import ParameterError
 from .optim import golden_min_vec
-
-_LN2 = math.log(2.0)
 
 #: cap on the expurgated-exponent slope rho (s = 1/rho stays >= 1/RHO_MAX)
 RHO_MAX = 1e4
 
-_TOL = 1e-9
-
-
-def _check01(x, name, hi=1.0):
-    if not (-_TOL <= x <= hi + _TOL):
-        raise ParameterError(f"{name}={x!r} outside [0, {hi}]")
-    return min(max(float(x), 0.0), hi)
-
 
 # ---------------------------------------------------------------------------
 # array-safe building blocks (natural parameters, output in bits)
-
-def _h_vec(u):
-    """Binary entropy of an array, safe at the endpoints."""
-    u = np.clip(u, 0.0, 1.0)
-    return -(xlogy(u, u) + xlogy(1.0 - u, 1.0 - u)) / _LN2
-
-
-def _conv_vec(u, p):
-    """Binary convolution u * p = u (1 - p) + p (1 - u), elementwise."""
-    return u + p - 2.0 * p * u
-
 
 def _persp_db(x, alpha, p):
     """alpha * d(x/alpha || p) as a perspective, safe at alpha = 0.
@@ -162,7 +149,7 @@ def _sphere_vec(p, r, w, tau, iters=20):
     hi = np.minimum(w, r)
     if p == 0.0 or p == 1.0:
         g = 0.5 * (w + r - (tau if p == 0.0 else 1.0 - tau))
-        feasible = (g >= lo - _TOL) & (g <= hi + _TOL)
+        feasible = (g >= lo - DOMAIN_TOL) & (g <= hi + DOMAIN_TOL)
         rate = np.maximum(_hyp_rate(r, w, np.clip(g, lo, hi)), 0.0)
         return np.where(feasible, rate, np.inf)
     fixed = _h_vec(r) - (xlogy(w, w) + xlogy(one_w, one_w)) / _LN2
@@ -233,20 +220,20 @@ def weight_difference_exponent(p, alpha, beta, tau):
     Fractions alpha, beta >= 0 with alpha + beta <= 1.  Returns +inf when
     tau lies outside [-beta, alpha].
     """
-    p = _check01(p, "p")
-    if alpha < -_TOL or beta < -_TOL:
+    p = _check_unit(p, "p")
+    if alpha < -DOMAIN_TOL or beta < -DOMAIN_TOL:
         raise ParameterError("alpha and beta must be nonnegative")
-    if alpha + beta > 1.0 + 1e-9:
+    if alpha + beta > 1.0 + DOMAIN_TOL:
         raise ParameterError(f"alpha+beta={alpha + beta!r} exceeds 1")
     alpha = max(float(alpha), 0.0)
     beta = max(float(beta), 0.0)
     tau = float(tau)
-    if tau < -beta - _TOL or tau > alpha + _TOL:
+    if tau < -beta - DOMAIN_TOL or tau > alpha + DOMAIN_TOL:
         return math.inf
     if p == 0.0:
-        return 0.0 if abs(tau) <= _TOL else math.inf
+        return 0.0 if abs(tau) <= DOMAIN_TOL else math.inf
     if p == 1.0:
-        return 0.0 if abs(tau - (alpha - beta)) <= _TOL else math.inf
+        return 0.0 if abs(tau - (alpha - beta)) <= DOMAIN_TOL else math.inf
     return float(_ew_vec(p, alpha, beta, min(max(tau, -beta), alpha)))
 
 
@@ -257,10 +244,10 @@ def mixed_weight_exponent(p, a, w, tau):
     and Z iid Bernoulli(p); the center has weight w, and tau is the
     normalized weight of c + U + Z.
     """
-    p = _check01(p, "p")
-    a = _check01(a, "a")
-    w = _check01(w, "w")
-    tau = _check01(tau, "tau")
+    p = _check_unit(p, "p")
+    a = _check_unit(a, "a")
+    w = _check_unit(w, "w")
+    tau = _check_unit(tau, "tau")
     return float(_sphere_vec(p, a, w, tau, iters=60))
 
 
@@ -271,10 +258,10 @@ def type_noise_ball_exponent(p, a, w, theta):
     [0, theta]; by convexity in the target this is a single sphere
     evaluation at min(theta, typical weight), and zero beyond it.
     """
-    p = _check01(p, "p")
-    a = _check01(a, "a")
-    w = _check01(w, "w")
-    theta = _check01(theta, "theta")
+    p = _check_unit(p, "p")
+    a = _check_unit(a, "a")
+    w = _check_unit(w, "w")
+    theta = _check_unit(theta, "theta")
     return float(_ball_type_vec(p, a, w, theta, iters=60))
 
 
@@ -291,10 +278,10 @@ def ball_noise_ball_exponent(p, a, w, theta):
     most 1/2: beyond it the ball holds about 2^n points and h(a) is no
     longer its size exponent.
     """
-    p = _check01(p, "p")
-    a = _check01(a, "a", hi=0.5)
-    w = _check01(w, "w")
-    theta = _check01(theta, "theta")
+    p = _check_unit(p, "p")
+    a = _check_unit(a, "a", hi=0.5)
+    w = _check_unit(w, "w")
+    theta = _check_unit(theta, "theta")
     return float(_shell_row_min(p, a, w, theta, iters=60))
 
 
@@ -335,15 +322,10 @@ def _channel_exponents_vec(p, rate, delta=None):
         delta = inverse_binary_entropy_vec(1.0 - rate)
     sq, sq_c = np.sqrt(ps), np.sqrt(1.0 - ps)
     r_crit = 1.0 - _h_vec(sq / (sq + sq_c))
-    # delta / ps overflows for a subnormal ps; take the log difference there
-    tiny = ps < sys.float_info.min
-    head = xlogy(delta, delta / np.where(tiny, 1.0, ps))
-    head = np.where(tiny, head - xlogy(delta, ps), head)
-    sphere = (head + xlogy(1.0 - delta, (1.0 - delta) / (1.0 - ps))) / _LN2
     er = np.where(
         rate < r_crit,
         1.0 - 2.0 * np.log2(sq + sq_c) - rate,
-        np.where(delta > ps, sphere, 0.0),
+        np.where(delta > ps, binary_divergence_vec(delta, ps), 0.0),
     )
     x = 2.0 * sq * sq_c
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -357,7 +339,7 @@ def _channel_exponents_vec(p, rate, delta=None):
 
 def _checked_channel(p, rate):
     return _channel_exponents_vec(
-        _check01(p, "p", hi=0.5), _check01(rate, "rate")
+        _check_unit(p, "p", hi=0.5), _check_unit(rate, "rate")
     )
 
 

@@ -7,16 +7,17 @@ its observation at a finite rate; the decision statistic is the
 normalized distance between the helper description and the other
 observation, compared against a threshold theta.
 
-The quantize-and-bin scheme is parametrized by the quantization noise
-level a (zero means binning only) and the message rate rate_x; the
-induced bin rate is rate_bin = 1 - h(a) - rate_x.  `one_sided_pair`
-evaluates the achievable exponent pair of that scheme at a threshold,
-`symmetric_pair` is the equal-rate special case a = 0 (achievable with
-modulo-sum decoding at both terminals), and `stein_columns` gives the
-best miss exponent under a vanishing false-alarm constraint, next to
-the prior one-sided benchmark and the unconstrained reference, so
-callers can reproduce the comparison sweeps (`stein_sweep` over a range
-of p0).
+The reference schemes, the centralized test (`unconstrained_pair`) and
+its rate-R time sharing (`baseline_pair`), are divergence pairs computed
+as columns over the thresholds (`_reference_rows`).  The quantize-and-
+bin scheme is parametrized by the quantization noise level a (zero
+means binning only) and the message rate rate_x; the induced bin rate
+is rate_bin = 1 - h(a) - rate_x.  `one_sided_pair` evaluates its
+exponent pair at a threshold, `symmetric_pair` is the equal-rate case
+a = 0 (achievable with modulo-sum decoding at both terminals), and
+`stein_sweep` gives the best miss exponent under a vanishing false-
+alarm constraint over a range of p0, next to the prior one-sided
+benchmark and the unconstrained reference (`stein_columns` at one p0).
 """
 
 import math
@@ -25,22 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binmath import (
+    DOMAIN_TOL,
+    _conv_vec,
+    _h_vec,
     binary_convolution,
-    binary_divergence,
+    binary_divergence_vec,
     binary_entropy,
     gv_distance,
     inverse_binary_entropy_vec,
 )
 from .errors import ParameterError, ResourceLimitError
-from .exponents import (
-    _ball_type_vec,
-    _conv_vec,
-    _h_vec,
-    _shell_row_min,
-    best_channel_exponent_vec,
-)
-
-_TOL = 1e-9
+from .exponents import _ball_type_vec, _shell_row_min, best_channel_exponent_vec
 
 #: grid points one `tradeoff_curve` call, or level rows one Stein sweep,
 #: may evaluate
@@ -83,9 +79,9 @@ class SchemeParams:
     rate_x: float
 
     def __post_init__(self):
-        if not (0.0 <= self.a <= 0.5 + _TOL):
+        if not (0.0 <= self.a <= 0.5 + DOMAIN_TOL):
             raise ParameterError(f"a={self.a} outside [0, 1/2]")
-        if not (0.0 <= self.rate_x <= 1.0 + _TOL):
+        if not (0.0 <= self.rate_x <= 1.0 + DOMAIN_TOL):
             raise ParameterError(f"rate_x={self.rate_x} outside [0, 1]")
         if not (0.0 <= self.theta <= 1.0):
             raise ParameterError(f"theta={self.theta} outside [0, 1]")
@@ -125,33 +121,32 @@ class TradeoffCurve:
 
 def unconstrained_pair(h, theta):
     """Exponent pair of the centralized threshold test, theta in (p0, p1)."""
-    if not (h.p0 < theta < h.p1):
-        raise ParameterError(
-            f"theta={theta} outside the open interval ({h.p0}, {h.p1})"
-        )
-    return ExponentPair(
-        binary_divergence(theta, h.p0), binary_divergence(theta, h.p1)
-    )
+    return baseline_pair(h, 1.0, theta)
 
 
 def baseline_pair(h, rate, theta):
     """Rate-R time sharing of the unconstrained test (send R n raw bits)."""
     _check_rate(rate)
-    pair = unconstrained_pair(h, theta)
-    return time_share(pair, rate)
+    if not (h.p0 < theta < h.p1):
+        raise ParameterError(
+            f"theta={theta} outside the open interval ({h.p0}, {h.p1})"
+        )
+    e0, e1 = _reference_rows(h, [theta], rate)
+    return ExponentPair(float(e0[0]), float(e1[0]))
 
 
-def time_share(pair, alpha):
-    """Run the scheme on an alpha fraction of samples, ignore the rest.
+def _reference_rows(h, thetas, share):
+    """(share d(theta||p0), share d(theta||p1)) over the theta rows.
 
-    A zero fraction sends nothing, so both exponents are 0, also where
-    the scheme's own exponent is infinite.
+    The centralized test run on a share of the samples.  A zero share
+    sends nothing: both are 0, also where a divergence is infinite.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise ParameterError(f"alpha={alpha} outside [0, 1]")
-    if alpha == 0.0:
-        return ExponentPair(0.0, 0.0)
-    return ExponentPair(alpha * pair.e0, alpha * pair.e1)
+    if share == 0.0:
+        return np.zeros(np.shape(thetas)), np.zeros(np.shape(thetas))
+    return (
+        share * binary_divergence_vec(thetas, h.p0),
+        share * binary_divergence_vec(thetas, h.p1),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +218,7 @@ def one_sided_pair(h, params):
     """Exponent pair of quantize-and-bin at the given operating point."""
     a, theta = params.a, params.theta
     lo, hi = binary_convolution(a, h.p0), binary_convolution(a, h.p1)
-    if not (lo - _TOL <= theta <= hi + _TOL):
+    if not (lo - DOMAIN_TOL <= theta <= hi + DOMAIN_TOL):
         raise ParameterError(
             f"theta={theta} outside [{lo}, {hi}] for a={a}"
         )
@@ -355,7 +350,8 @@ def stein_sweep(p1, rate, p0_lo, p0_hi, npts, alphas=None):
             f"of {_MAX_CURVE_ROWS}; lower the resolution"
         )
     p0s = np.linspace(p0_lo, p0_hi, npts)
-    pairs = [HypothesisPair(p0, p1) for p0 in p0s.tolist()]
+    for p0 in p0s.tolist():
+        HypothesisPair(p0, p1)  # checks 0 <= p0 <= p1 <= 1/2
     cell_p0 = np.repeat(p0s, alphas.size)
     cell_rate = np.tile(np.minimum(rate / alphas, 1.0), npts)
     new, prior, sym = (np.empty(cell_p0.size) for _ in range(3))
@@ -369,9 +365,7 @@ def stein_sweep(p1, rate, p0_lo, p0_hi, npts, alphas=None):
 
     return {
         "p0": p0s,
-        "unconstrained": np.array(
-            [binary_divergence(h.p0, h.p1) for h in pairs]
-        ),
+        "unconstrained": binary_divergence_vec(p0s, p1),
         "new": best(new),
         "prior": best(prior),
         "symmetric": best(sym),
@@ -410,7 +404,7 @@ def default_alpha_grid(rate, npts=33):
 
 SCHEMES = ("unconstrained", "baseline", "one_sided", "symmetric")
 
-#: grid rows of an alpha block one `_pair_rows` call evaluates
+#: grid rows one `_pair_rows` or `_reference_rows` call evaluates
 _PAIR_CHUNK = 16384
 
 
@@ -465,14 +459,14 @@ def tradeoff_curve(scheme, h, rate, resolution=200, a_points=25,
             raise ParameterError(
                 f"{scheme} curve needs p0 < p1, got p0={h.p0}, p1={h.p1}"
             )
-        off = 1e-6 * max(h.p1 - h.p0, 1.0)
+        off = min(1e-6, (h.p1 - h.p0) / 4)  # shrinks with a narrow gap
         thetas = np.linspace(h.p0 + off, h.p1 - off, resolution)
         # a time-sharing fraction of 1 leaves the pair unchanged
         share = 1.0 if scheme == "unconstrained" else rate
-        pairs = (baseline_pair(h, share, t) for t in map(float, thetas))
-        e0, e1 = np.fromiter(
-            ((pair.e0, pair.e1) for pair in pairs), (float, 2), resolution
-        ).T
+        e0, e1 = np.empty(resolution), np.empty(resolution)
+        for lo in range(0, resolution, _PAIR_CHUNK):
+            part = slice(lo, lo + _PAIR_CHUNK)
+            e0[part], e1[part] = _reference_rows(h, thetas[part], share)
         zero, one = np.zeros(resolution), np.ones(resolution)
         return TradeoffCurve(scheme, rate, e0, e1, thetas, zero, one)
     front = np.empty((0, 5))

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bindht.binmath import (
     binary_convolution,
     binary_divergence,
+    binary_divergence_vec,
     binary_entropy,
     gv_distance,
     inverse_binary_entropy,
@@ -76,6 +77,39 @@ def test_divergence_at_subnormal_q(q):
     assert binary_divergence(p, q) == pytest.approx(want, rel=1e-12)
     if q == 1e-320:
         assert binary_divergence(p, q) == pytest.approx(52.8645, abs=1e-4)
+
+
+@given(probs, probs)
+@example(0.05, 1e-320)
+@example(0.05, 5e-324)
+@example(1e-320, 5e-324)
+@example(0.0, 5e-324)
+def test_divergence_vec_matches_scalar(p, q):
+    got = binary_divergence_vec(p, q)
+    want = binary_divergence(p, q)
+    assert got.shape == () and got >= 0.0
+    if math.isinf(want):
+        assert got == want
+    else:
+        slack = 1e-15 if want < 1e-3 else 0.0
+        assert float(got) == pytest.approx(want, rel=1e-12, abs=slack)
+
+
+def test_divergence_vec_edges_and_broadcast():
+    p = np.array([0.0, 1.0, 0.3, 0.3, 0.0, 1.0, 0.05, 0.05])
+    q = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1e-320, 5e-324])
+    got = binary_divergence_vec(p, q)
+    assert got[:6].tolist() == [0.0, 0.0, math.inf, math.inf, math.inf, math.inf]
+    assert got[6:].tolist() == pytest.approx(
+        [binary_divergence(0.05, 1e-320), binary_divergence(0.05, 5e-324)],
+        rel=1e-12,
+    )
+    # a column of q against a row of p gives one row per q
+    grid = binary_divergence_vec(p[None, :], np.array([[0.25], [0.5]]))
+    assert grid.shape == (2, p.size)
+    assert grid[1].tolist() == pytest.approx(
+        [1.0 - binary_entropy(x) for x in p.tolist()], abs=1e-12
+    )
 
 
 @given(probs, st.floats(min_value=1e-9, max_value=1.0 - 1e-9))

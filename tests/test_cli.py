@@ -195,6 +195,47 @@ def test_reference_curve_at_equal_p_names_p0_and_p1(capsys, scheme):
     assert err == f"error: {scheme} curve needs p0 < p1, got p0=0.1, p1=0.1\n"
 
 
+@pytest.mark.parametrize("gap", [1e-7, 2e-6])
+@pytest.mark.parametrize("scheme", ["unconstrained", "baseline"])
+def test_reference_curve_at_narrow_gap_stays_inside(capsys, scheme, gap):
+    # the threshold offset shrinks with p1 - p0, so the sweep never
+    # leaves the open interval, however close p0 and p1 are
+    p0, p1 = 0.1, 0.1 + gap
+    code, out, err = _run(
+        capsys, "tradeoff", "--p0", "0.1", "--p1", repr(p1), "--rate", "0.3",
+        "--scheme", scheme, "--resolution", "5",
+    )
+    assert code == 0 and err == ""
+    assert "nan" not in out
+    _, rows = _parse_csv(out, "bindht.tradeoff.v1")
+    thetas = [float(r[3]) for r in rows]
+    assert len(thetas) == 5
+    assert p0 < thetas[0] and thetas[-1] < p1
+    assert all(a < b for a, b in zip(thetas, thetas[1:]))
+
+
+@pytest.mark.parametrize("rate", ["0", "1"])
+@pytest.mark.parametrize("p0", ["0", "1e-320"])
+@pytest.mark.parametrize("scheme", ["unconstrained", "baseline"])
+@pytest.mark.parametrize("command", ["tradeoff", "exponents"])
+def test_reference_schemes_at_input_edges(capsys, command, scheme, p0, rate):
+    # a degenerate or subnormal p0 and a rate at either end give finite
+    # or infinite exponents, never NaN, or a one-line usage error
+    if command == "tradeoff":
+        extra = ["--resolution", "7"]
+    else:
+        extra = ["--threshold", "0.25"]
+    code, out, err = _run(
+        capsys, command, "--p0", p0, "--p1", "0.5", "--rate", rate,
+        "--scheme", scheme, *extra,
+    )
+    if code == 0:
+        assert err == "" and "nan" not in out
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("resolution", ["0", "-3"])
 def test_stein_resolution_below_one_is_usage_error(capsys, resolution):
     code, out, err = _run(

@@ -14,13 +14,17 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import xlogy
 
 import bindht.exponents as exponents
-from bindht.binmath import binary_convolution, binary_divergence, binary_entropy
+from bindht.binmath import (
+    _h_vec,
+    binary_convolution,
+    binary_divergence,
+    binary_entropy,
+)
 from bindht.errors import ParameterError
 from bindht.exponents import (
     RHO_MAX,
     _ball_type_vec,
     _ew_vec,
-    _h_vec,
     _sphere_vec,
     ball_noise_ball_exponent,
     best_channel_exponent,

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from bindht.binmath import (
+    _conv_vec,
+    _h_vec,
     binary_convolution,
     binary_divergence,
     binary_entropy,
@@ -22,7 +24,6 @@ import bindht
 from bindht.errors import ParameterError, ResourceLimitError
 from bindht.exponents import (
     _ball_type_vec,
-    _h_vec,
     best_channel_exponent,
     type_noise_ball_exponent,
 )
@@ -35,7 +36,6 @@ from bindht.regions import (
     SchemeParams,
     TradeoffCurve,
     _binning_rows,
-    _conv_vec,
     _pair_rows,
     _rising,
     _shell_row_min,
@@ -50,7 +50,6 @@ from bindht.regions import (
     stein_columns,
     stein_sweep,
     symmetric_pair,
-    time_share,
     tradeoff_curve,
     unconstrained_pair,
 )
@@ -264,12 +263,16 @@ def test_baseline_pair_scales_unconstrained():
         assert base.e1 == pytest.approx(0.3 * full.e1, abs=1e-12)
 
 
-def test_time_share_scales_both_exponents():
-    pair = ExponentPair(0.4, 0.2)
-    scaled = time_share(pair, 0.25)
-    assert (scaled.e0, scaled.e1) == (pytest.approx(0.1), pytest.approx(0.05))
+def test_baseline_pair_scales_both_exponents():
+    full = unconstrained_pair(FIG_A, 0.1)
+    scaled = baseline_pair(FIG_A, 0.25, 0.1)
+    assert (scaled.e0, scaled.e1) == (
+        pytest.approx(0.25 * full.e0), pytest.approx(0.25 * full.e1)
+    )
     # a zero share sends nothing, even where the exponent is infinite
-    assert time_share(ExponentPair(math.inf, 0.2), 0.0) == ExponentPair(0.0, 0.0)
+    p0_zero = HypothesisPair(0.0, 0.25)
+    assert unconstrained_pair(p0_zero, 0.1).e0 == math.inf
+    assert baseline_pair(p0_zero, 0.0, 0.1) == ExponentPair(0.0, 0.0)
 
 
 def test_symmetric_equals_one_sided_without_quantization():
@@ -651,7 +654,45 @@ def test_tradeoff_curve_matches_object_scan(scheme, h):
     assert list(zip(*(c.tolist() for c in cols))) == want
 
 
-@pytest.mark.parametrize("scheme", ["one_sided", "symmetric"])
+def _ref_reference_curve(scheme, h, rate, resolution):
+    """A reference curve built the earlier way: one checked threshold
+    at a time, scalar divergences, a zero share sending nothing."""
+    off = min(1e-6, (h.p1 - h.p0) / 4)
+    thetas = np.linspace(h.p0 + off, h.p1 - off, resolution).tolist()
+    share = 1.0 if scheme == "unconstrained" else rate
+    rows = []
+    for t in thetas:
+        assert h.p0 < t < h.p1
+        if share == 0.0:
+            rows.append((0.0, 0.0))
+        else:
+            rows.append((
+                share * binary_divergence(t, h.p0),
+                share * binary_divergence(t, h.p1),
+            ))
+    return thetas, np.array(rows)
+
+
+@pytest.mark.parametrize("scheme", ["unconstrained", "baseline"])
+@pytest.mark.parametrize("h, rate", [
+    (FIG_A, 0.3),
+    (FIG_B, 1.0),
+    (HypothesisPair(0.0, 0.25), 0.0),
+    (HypothesisPair(0.0, 0.25), 0.3),
+    (HypothesisPair(1e-320, 0.5), 0.3),
+])
+def test_reference_curve_matches_scalar_construction(scheme, h, rate):
+    thetas, want = _ref_reference_curve(scheme, h, rate, 301)
+    curve = tradeoff_curve(scheme, h, rate, resolution=301)
+    assert curve.theta.tolist() == thetas
+    assert not np.isnan(curve.e0).any() and not np.isnan(curve.e1).any()
+    np.testing.assert_allclose(curve.e0, want[:, 0], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(curve.e1, want[:, 1], rtol=1e-12, atol=0.0)
+    assert curve.a.tolist() == [0.0] * 301
+    assert curve.alpha.tolist() == [1.0] * 301
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_tradeoff_curve_row_chunks_match_one_call(monkeypatch, scheme):
     kw = dict(resolution=40, a_points=6, alpha_points=5)
     whole = tradeoff_curve(scheme, FIG_B, 0.3, **kw)
