@@ -52,7 +52,7 @@ PRESETS = {
 
 _USAGE_EXIT = 2
 
-#: trial records or curve rows converted to Python numbers at a time
+#: trial records or curve rows turned into text at a time
 _LINE_CHUNK = 4096
 
 
@@ -180,23 +180,32 @@ def _curve_rows(curves):
 
 
 def _trial_lines(records):
-    """Yield trial records as JSON lines, formatted as ``json.dumps`` would.
-
-    Columns become Python ints a chunk at a time, bounding the memory.
+    """Yield trial records as JSON lines, as ``json.dumps`` would format
+    them, one string per ``_LINE_CHUNK`` records.  Each of the at most
+    8 (n + 1)^2 distinct lines is formatted once, when its code in radix
+    (2, 2, 2, n + 1, n + 1) first occurs, and looked up after that.
     """
-    weight = [repr(round(k / records.n, 12)) for k in range(records.n + 1)]
+    n1 = records.n + 1
+    weight = [repr(round(k / records.n, 12)) for k in range(n1)]
+    dims = (2, 2, 2, n1, n1)
     cols = (
         records.hypothesis, records.bin_error, records.decided,
         records.noise_weight, records.decoded_weight,
     )
+    lines = np.full(8 * n1 * n1, "", dtype=object)
     for lo in range(0, len(records), _LINE_CHUNK):
-        chunk = (c[lo:lo + _LINE_CHUNK].astype(int).tolist() for c in cols)
-        for h, e, d, wn, wd in zip(*chunk):
-            yield (
+        code = 0
+        for radix, col in zip(dims, cols):
+            code = radix * code + col[lo:lo + _LINE_CHUNK].astype(np.intp)
+        seen = np.flatnonzero(np.bincount(code, minlength=lines.size))
+        for c in seen[lines[seen] == ""].tolist():
+            h, e, d, wn, wd = np.unravel_index(c, dims)
+            lines[c] = (
                 f'{{"hyp": {h}, "bin_error": {e}, "decided": {d}, '
                 f'"noise_weight": {weight[wn]}, '
                 f'"decoded_weight": {weight[wd]}}}\n'
             )
+        yield "".join(lines[code])
 
 
 def cmd_simulate(args):

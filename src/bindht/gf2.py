@@ -5,9 +5,10 @@ XOR is vector addition and a popcount is the Hamming weight.  Rows are
 plain Python ints; words are uint64, and `syndromes`, `quantize` and
 `row_parities` take an int or an array of words.  The parity check of
 a code fixes a syndrome map s(x) = x H^T whose bit i is the parity of
-row i against x.  Coset leaders (minimum-weight coset members, ties to
-the lexicographically smallest vector) come from a table built by a
-breadth-first search over the syndrome space, cached per code.
+row i against x (an XOR of per-byte tables cached per matrix).  Coset
+leaders (minimum-weight coset members, ties to the lexicographically
+smallest vector) come from a table built by a breadth-first search over
+the syndrome space, cached per code.
 
 ``build_nested`` draws a pair of codes sharing generator rows so the
 coarse code is a subcode of the fine one; the coarse parity check is
@@ -213,13 +214,26 @@ def sample_random_linear_code(n, k, seed=None):
     )
 
 
+@lru_cache(maxsize=32)
+def _byte_tables(rows):
+    """Read-only per-byte tables of a rows tuple: bit i of entry [b, v]
+    is the parity of row i against the byte value v placed at byte b."""
+    shift = np.arange(0, max(rows, default=0).bit_length(), 8, dtype=np.uint64)
+    row_bytes = np.array(rows, dtype=np.uint64) >> shift[:, None, None]
+    values = np.arange(256, dtype=np.uint64)[:, None]
+    odd = _popcount64(values & row_bytes) & np.uint64(1)
+    tables = (odd << np.arange(len(rows), dtype=np.uint64)).sum(axis=2)
+    tables.flags.writeable = False
+    return tables
+
+
 def row_parities(rows, words):
-    """Apply a bit matrix to packed words; output bit i is <rows[i], word>."""
+    """Apply a bit matrix to packed words; output bit i is <rows[i], word>,
+    the XOR of one `_byte_tables` entry per byte of the word."""
     words = np.asarray(words, dtype=np.uint64)
     out = np.zeros(words.shape, dtype=np.uint64)
-    for i, h in enumerate(rows):
-        bit = _popcount64(words & np.uint64(h)) & np.uint64(1)
-        out |= bit << np.uint64(i)
+    for b, table in enumerate(_byte_tables(tuple(rows))):
+        out ^= table.take((words >> np.uint64(8 * b)) & np.uint64(0xFF))
     return out
 
 

@@ -434,12 +434,12 @@ def tradeoff_curve(scheme, h, rate, resolution=200, a_points=25,
     of the block runs the scheme at rate/alpha, the rest is ignored,
     scaling both exponents by alpha.  The Pareto frontier of all grid
     points is returned.  The reference schemes sweep the threshold
-    only, strictly between p0 and p1, so they need p0 < p1; time
-    sharing cannot improve them.  A request that would
-    evaluate more than ``_MAX_CURVE_ROWS`` grid points is refused.
-    Grid rows are evaluated ``_PAIR_CHUNK`` at a time, and each alpha
-    block is filtered together with the rows kept so far, so memory
-    stays within a block and the frontier.
+    only, strictly between p0 and p1, so they need p0 < p1 and a gap
+    wider than a few ulps; time sharing cannot improve them.  A request
+    that would evaluate more than ``_MAX_CURVE_ROWS`` grid points is
+    refused.  Grid rows are evaluated ``_PAIR_CHUNK`` at a time, and
+    each alpha block is filtered together with the rows kept so far, so
+    memory stays within a block and the frontier.
     """
     if scheme not in SCHEMES:
         raise ParameterError(f"unknown scheme {scheme!r}")
@@ -461,6 +461,11 @@ def tradeoff_curve(scheme, h, rate, resolution=200, a_points=25,
             )
         off = min(1e-6, (h.p1 - h.p0) / 4)  # shrinks with a narrow gap
         thetas = np.linspace(h.p0 + off, h.p1 - off, resolution)
+        if not (h.p0 < thetas[0] and thetas[-1] < h.p1):
+            raise ParameterError(
+                f"{scheme} curve has no threshold strictly between "
+                f"p0={h.p0} and p1={h.p1}"
+            )
         # a time-sharing fraction of 1 leaves the pair unchanged
         share = 1.0 if scheme == "unconstrained" else rate
         e0, e1 = np.empty(resolution), np.empty(resolution)

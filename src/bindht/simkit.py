@@ -249,7 +249,8 @@ def _wilson(k, m):
 
 
 def _exponent(eps, n):
-    return math.inf if eps == 0.0 else -math.log2(eps) / n
+    # 0.0 - x, not -x: eps = 1 gives +0 rather than -0
+    return math.inf if eps == 0.0 else 0.0 - math.log2(eps) / n
 
 
 def estimate_errors(records, n):

@@ -1,5 +1,6 @@
 """Command line behavior through in-process main() calls."""
 
+import hashlib
 import json
 import math
 import os
@@ -195,6 +196,19 @@ def test_reference_curve_at_equal_p_names_p0_and_p1(capsys, scheme):
     assert err == f"error: {scheme} curve needs p0 < p1, got p0=0.1, p1=0.1\n"
 
 
+@pytest.mark.parametrize("scheme", ["unconstrained", "baseline"])
+def test_reference_curve_at_ulp_gap_is_usage_error(capsys, scheme):
+    # a gap of one ulp leaves no threshold strictly between p0 and p1;
+    # the sweep used to land on p0 and p1 themselves
+    code, out, err = _run(
+        capsys, "tradeoff", "--p0", "0.1", "--p1", "0.10000000000000002",
+        "--rate", "0.3", "--scheme", scheme, "--resolution", "3",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "p0=0.1 " in err and "p1=0.10000000000000002" in err
+
+
 @pytest.mark.parametrize("gap", [1e-7, 2e-6])
 @pytest.mark.parametrize("scheme", ["unconstrained", "baseline"])
 def test_reference_curve_at_narrow_gap_stays_inside(capsys, scheme, gap):
@@ -374,7 +388,56 @@ def test_trial_line_matches_json_dumps():
                 }) + "\n"
                 for j in range(n + 1)
             ]
-            assert list(bindht.cli._trial_lines(records)) == want
+            assert "".join(bindht.cli._trial_lines(records)) == "".join(want)
+
+
+_SIM_GOLDEN = {
+    "one_sided": (
+        ("--n", "27", "--a", "0.05", "--rate", "0.3", "--seed", "5"),
+        "9b520b288a8f1151d529ecfb85969b4777e5ab97cbf41727ae4236a1ad107579",
+        "3c4a56ce17163616e752a88191732c3e9902649df9f3e3eba26ec9ed05b03117",
+    ),
+    "korner_marton": (
+        ("--scheme", "korner_marton", "--n", "23", "--rate", "0.6",
+         "--seed", "4"),
+        "ae32cec77775aecf1ed817974c4565b49cb17184b2d49e5c9a26e336983a5a66",
+        "a121069117cfb099e37d11284897183c8a2b4adf9c345feab761ff90fce4da76",
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(_SIM_GOLDEN))
+def test_simulate_golden_bytes(tmp_path, capsys, monkeypatch, scheme):
+    # sha256 of stdout and of the trial stream, taken from the per-row
+    # syndrome loop and one f-string per trial record; chunks of 7
+    # records must give the same stream, since the table of formatted
+    # lines carries across chunks
+    flags, out_sha, stream_sha = _SIM_GOLDEN[scheme]
+    stream = tmp_path / "trials.jsonl"
+    argv = (
+        "simulate", "--preset", "fig3a", "--threshold", "0.1",
+        "--trials", "2000", *flags, "--trial-stream", str(stream),
+    )
+    for chunk in (bindht.cli._LINE_CHUNK, 7):
+        monkeypatch.setattr(bindht.cli, "_LINE_CHUNK", chunk)
+        code, out, err = _run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+        assert hashlib.sha256(stream.read_bytes()).hexdigest() == stream_sha
+
+
+def test_simulate_certain_miss_prints_zero_exponent(capsys):
+    # no decoded weight at n = 64 reaches the threshold, so every
+    # alternative trial is missed: eps1 = 1 and its exponent reads 0
+    code, out, err = _run(
+        capsys, "simulate", "--preset", "fig3a", "--scheme", "korner_marton",
+        "--a", "0", "--threshold", "0.1", "--n", "64", "--trials", "5",
+        "--seed", "1",
+    )
+    assert code == 0 and err == ""
+    headers, rows = _parse_csv(out, "bindht.simulate.v1")
+    row = dict(zip(headers, rows[0]))
+    assert (row["eps1"], row["exponent1"]) == ("1", "0")
 
 
 def test_simulate_rejects_huge_trial_count(capsys):

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bindht.binmath import gv_distance
 from bindht.errors import (
@@ -32,6 +32,7 @@ from bindht.gf2 import (
     row_parities,
     sample_random_linear_code,
     syndromes,
+    _byte_tables,
     _popcount64,
 )
 from gf2_oracle import syndrome
@@ -224,6 +225,48 @@ def test_row_parities_single_rows():
     assert int(out[0]) == 0b11
     # word 0b0001: only row 0 touches bit 0
     assert int(out[1]) == 0b01
+
+
+def _ref_row_parities(rows, words):
+    """One SWAR popcount pass per row, the loop the byte tables replace."""
+    words = np.asarray(words, dtype=np.uint64)
+    out = np.zeros(words.shape, dtype=np.uint64)
+    for i, h in enumerate(rows):
+        bit = _popcount64(words & np.uint64(h)) & np.uint64(1)
+        out |= bit << np.uint64(i)
+    return out
+
+
+word_values = st.one_of(
+    st.sampled_from([0, 2**64 - 1]),
+    st.integers(min_value=0, max_value=2**16 - 1),  # high bytes zero
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=22),
+    st.lists(word_values, min_size=1, max_size=16),
+)
+@example([], [0, 2**64 - 1])
+@example([1 << 63, 0xFF, 1], [2**64 - 1, 1 << 63, 0x80, 0])
+def test_row_parities_match_per_row_loop(rows, words):
+    arr = np.array(words, dtype=np.uint64)
+    # a Python int, a 0-d array, a 1-D array and a 2-D array
+    for w in (words[0], arr[0:1].reshape(()), arr, arr[:, None] ^ arr[None, :]):
+        got, want = row_parities(rows, w), _ref_row_parities(rows, w)
+        assert got.dtype == np.uint64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_byte_tables_are_read_only():
+    code = sample_random_linear_code(20, 9, seed=1)
+    tables = _byte_tables(code.H.bits)
+    # one table per byte of the 20-bit rows, shared by every later call
+    assert tables.shape == (3, 256)
+    assert _byte_tables(code.H.bits) is tables
+    with pytest.raises(ValueError):
+        tables[0, 1] = 0
 
 
 def test_coset_leader_beyond_table_bound_raises():

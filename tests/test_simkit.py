@@ -334,6 +334,20 @@ def test_estimate_errors_all_wrong():
     assert est.eps1 == 0.0
 
 
+def test_estimate_errors_certain_error_exponent_is_positive_zero():
+    # eps = 1 under both hypotheses; -log2(1) / n alone would be -0.0,
+    # which equals 0.0 but prints as -0
+    records = _records(
+        4,
+        (8, (0, False, 1, 0, 1)),
+        (8, (1, False, 0, 2, 0)),
+    )
+    est = estimate_errors(records, 4)
+    assert (est.eps0, est.eps1) == (1.0, 1.0)
+    assert math.copysign(1.0, est.exponent0) == 1.0
+    assert math.copysign(1.0, est.exponent1) == 1.0
+
+
 def test_estimate_errors_needs_both_hypotheses():
     with pytest.raises(ParameterError):
         estimate_errors(_records(10, (5, (0, False, 0, 1, 1))), 10)
