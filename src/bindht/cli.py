@@ -52,34 +52,44 @@ PRESETS = {
 
 _USAGE_EXIT = 2
 
-#: trial records or curve rows turned into text at a time
+#: trial records or table rows turned into text at a time
 _LINE_CHUNK = 4096
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
-
-
-def _write_table(stream, fmt, schema, headers, rows):
+def _write_table(stream, fmt, schema, headers, blocks):
+    """Write blocks of columns, ``_LINE_CHUNK`` rows at a time.  A column
+    is a numpy array or a scalar repeated down its block; CSV formats a
+    float column with ``.12g`` and any other with ``str``.
+    """
     if fmt == "csv":
-        stream.write(f"# schema: {schema}\n")
-        stream.write(",".join(headers) + "\n")
-        for row in rows:
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
-    else:
-        for row in rows:
-            rec = {k: v for k, v in zip(headers, row)}
-            stream.write(json.dumps(rec) + "\n")
+        stream.write(f"# schema: {schema}\n{','.join(headers)}\n")
+    for block in blocks:
+        size = max([len(c) for c in block if np.ndim(c)], default=1)
+        for lo in range(0, size, _LINE_CHUNK):
+            m = min(_LINE_CHUNK, size - lo)
+            cols = [
+                c[lo:lo + m].tolist() if np.ndim(c) else [c] * m
+                for c in block
+            ]
+            if fmt == "csv":
+                template = ",".join(
+                    "{:.12g}" if isinstance(c[0], float) else "{}"
+                    for c in cols
+                ) + "\n"
+                stream.write("".join(map(template.format, *cols)))
+            else:
+                stream.writelines(
+                    json.dumps(dict(zip(headers, row))) + "\n"
+                    for row in zip(*cols)
+                )
 
 
-def _emit(args, schema, headers, rows):
+def _emit(args, schema, headers, blocks):
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8", newline="\n") as f:
-            _write_table(f, args.format, schema, headers, rows)
+            _write_table(f, args.format, schema, headers, blocks)
     else:
-        _write_table(sys.stdout, args.format, schema, headers, rows)
+        _write_table(sys.stdout, args.format, schema, headers, blocks)
 
 
 def _preset_get(args, key):
@@ -149,8 +159,7 @@ def cmd_stein(args):
     cols = stein_sweep(p1, rate, lo, hi, npts)
     headers = ("p0", "unconstrained", "one_sided", "prior", "symmetric")
     keys = ("p0", "unconstrained", "new", "prior", "symmetric")
-    rows = zip(*(cols[key].tolist() for key in keys))
-    _emit(args, "bindht.stein.v1", headers, rows)
+    _emit(args, "bindht.stein.v1", headers, [[cols[key] for key in keys]])
     return 0
 
 
@@ -160,23 +169,12 @@ def cmd_tradeoff(args):
     schemes = args.scheme or list(SCHEMES)
     headers = ("scheme", "e0", "e1", "theta", "a", "alpha")
     # every curve is computed before the first row is written
-    curves = [
-        tradeoff_curve(scheme, h, rate, resolution=args.resolution)
-        for scheme in schemes
-    ]
-    _emit(args, "bindht.tradeoff.v1", headers, _curve_rows(curves))
+    blocks = []
+    for scheme in schemes:
+        c = tradeoff_curve(scheme, h, rate, resolution=args.resolution)
+        blocks.append((c.scheme, c.e0, c.e1, c.theta, c.a, c.alpha))
+    _emit(args, "bindht.tradeoff.v1", headers, blocks)
     return 0
-
-
-def _curve_rows(curves):
-    """Yield the rows of each curve, converted to Python floats a chunk at
-    a time, bounding the memory."""
-    for curve in curves:
-        cols = (curve.e0, curve.e1, curve.theta, curve.a, curve.alpha)
-        for lo in range(0, len(curve.e0), _LINE_CHUNK):
-            chunk = (c[lo:lo + _LINE_CHUNK].tolist() for c in cols)
-            for row in zip(*chunk):
-                yield (curve.scheme, *row)
 
 
 def _trial_lines(records):

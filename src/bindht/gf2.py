@@ -460,7 +460,7 @@ def build_nested(n, rate_fine, rate_coarse, seed=None):
     for h in fine.H.bits:
         _basis_insert(basis, h)
     delta = []
-    for h in _parity_check(coarse.G.bits, n, k2).bits:
+    for h in coarse.H.bits:
         red = _basis_insert(basis, h)
         if red:
             delta.append(red)

@@ -289,13 +289,11 @@ def np_exact_errors(n, p0, p1, theta):
     """Exact error pair of the weight-threshold test on n samples.
 
     Decides the second hypothesis when wt(z)/n > theta; returns
-    (P(false alarm under p0), P(miss under p1)).
+    (P(false alarm under p0), P(miss under p1)), each tail summed in
+    the log domain by np_exact_log2_errors.
     """
-    _check_threshold_test(n, p0, p1, theta)
-    k_acc = int(math.floor(n * theta + 1e-9))
-    eps0 = _binom_tail(n, p0, k_acc + 1)
-    eps1 = 1.0 - _binom_tail(n, p1, k_acc + 1)
-    return eps0, eps1
+    l0, l1 = np_exact_log2_errors(n, p0, p1, theta)
+    return 2.0 ** l0, 2.0 ** l1
 
 
 def np_exact_log2_errors(n, p0, p1, theta):
@@ -318,26 +316,11 @@ def _check_threshold_test(n, p0, p1, theta):
         raise ParameterError(f"theta={theta} outside [0, 1]")
 
 
-def _binom_tail(n, p, k_from):
-    """P(Bin(n, p) >= k_from), exactly."""
-    if k_from > n:
-        return 0.0
-    if k_from <= 0:
-        return 1.0
-    if n <= 64:
-        return float(
-            sum(
-                math.comb(n, k) * p ** k * (1.0 - p) ** (n - k)
-                for k in range(k_from, n + 1)
-            )
-        )
-    l2 = _log2_binom_tail(n, p, k_from, upper=True)
-    return float(2.0 ** l2) if l2 > -1000.0 else 0.0
-
-
 def _log2_binom_tail(n, p, k_edge, upper):
     """log2 P(Bin >= k_edge) if upper else log2 P(Bin <= k_edge)."""
     ks = np.arange(k_edge, n + 1) if upper else np.arange(0, k_edge + 1)
     if len(ks) == 0:
         return -math.inf
-    return float(_logsumexp(_log_binom_pmf(n, p)[ks]) / math.log(2.0))
+    log_tail = _logsumexp(_log_binom_pmf(n, p)[ks])
+    # rounding can put a full tail a few ulps above 1, as for the ball
+    return min(0.0, float(log_tail / math.log(2.0)))

@@ -1,6 +1,8 @@
 """Command line behavior through in-process main() calls."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bindht
 import bindht.cli
@@ -250,6 +253,49 @@ def test_reference_schemes_at_input_edges(capsys, command, scheme, p0, rate):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_EDGES = (0.0, 0.5, 1.0, 1e-320, math.nan, math.inf, -math.inf, -0.1, -1e-320)
+
+
+@st.composite
+def _exponents_flags(draw):
+    """Flags from their valid ranges, a drawn subset of them then
+    replaced by edge values."""
+    p0, p1 = sorted([draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.5))])
+    flags = {
+        "p0": p0, "p1": p1, "rate": draw(st.floats(0.0, 1.0)),
+        "threshold": draw(st.floats(p0, p1)), "a": draw(st.floats(0.0, 0.5)),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(flags)))):
+        flags[key] = draw(st.sampled_from(_EDGES))
+    return flags
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(
+    flags=_exponents_flags(),
+    schemes=st.lists(st.sampled_from(SCHEMES), max_size=2),
+)
+def test_exponents_fuzz_ends_in_table_or_usage_error(flags, schemes):
+    # valid draws and edge values alike end in a table of non-negative,
+    # non-NaN exponents (exit 0) or a one-line message (exit 2)
+    argv = ["exponents", *(f"--{k}={v!r}" for k, v in flags.items())]
+    argv += [f"--scheme={s}" for s in schemes]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        _, rows = _parse_csv(out.getvalue(), "bindht.exponents.v1")
+        for row in rows:
+            e0, e1 = float(row[2]), float(row[3])
+            assert e0 >= 0.0 and e1 >= 0.0, (argv, row)
+    else:
+        assert code == 2 and out.getvalue() == "", argv
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+
+
 @pytest.mark.parametrize("resolution", ["0", "-3"])
 def test_stein_resolution_below_one_is_usage_error(capsys, resolution):
     code, out, err = _run(
@@ -294,14 +340,59 @@ def test_tradeoff_schema_and_grouping(capsys):
         assert all(b <= a + 1e-12 for a, b in zip(e1s, e1s[1:]))
 
 
+_TABLE_GOLDEN = {
+    ("tradeoff", "--preset", "fig3a"): (
+        "36f725496b79e47db6a36d4c63579a910da6eaf244a45337b5cfa8657a00db38",
+        "716b1866135ddefb22c4009636a1daa66566e5594368f8c27d4bb39c503e58e7",
+    ),
+    ("tradeoff", "--preset", "fig3b"): (
+        "2c7109746da73f1baebbeba2c07affd5b01d6d54b604b169fa84812f78e84d87",
+        "fe57ad52e278bc81d1d9fbedc335823c1a9e01203d9880b744357f89d1dd4e6b",
+    ),
+    ("stein", "--preset", "fig2a"): (
+        "385c683cbb7ed1810c516cf77a92df8137b762944899cd86d89563f41b94f65e",
+        "0fd0727b81e6d6eed1f7ee59cc0ecfe32e11b2fb435eeda96016293c86642153",
+    ),
+    ("stein", "--preset", "fig2b"): (
+        "301bef88816ef2e4861cd8160b9a74c2cf3b29534ebe0a25a2471a09844eba2f",
+        "e5b26cd8a363f43c99131728e6d332b689b6e09de314b37d33d0c320c100374d",
+    ),
+    ("exponents", "--preset", "fig3a", "--threshold", "0.04"): (
+        "31f293c445f857e6d494f6d0980397a8b5637a4ad771e36cc087126d2bac02db",
+        "d78f335cfcd4cbda6237a25a5f661e41db701d8588bef7aaebff3dc5cd252781",
+    ),
+}
+
+
+def _sha256(data):
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("argv", sorted(_TABLE_GOLDEN), ids=" ".join)
+def test_table_golden_bytes(tmp_path, capsys, argv, fmt):
+    # sha256 of the table, taken from the writer that formatted one
+    # value at a time; --output writes the same bytes as stdout
+    want = _TABLE_GOLDEN[argv][fmt == "jsonl"]
+    code, out, err = _run(capsys, *argv, "--format", fmt)
+    assert code == 0 and err == ""
+    assert _sha256(out) == want
+    path = tmp_path / "table"
+    code, out, _ = _run(capsys, *argv, "--format", fmt, "--output", str(path))
+    assert code == 0 and out == ""
+    assert _sha256(path.read_bytes()) == want
+
+
 def test_tradeoff_rows_written_in_chunks(capsys, monkeypatch):
-    # chunks of 7 rows split every curve; the table is the same
-    argv = ("tradeoff", "--preset", "fig3a", "--resolution", "40")
-    code, whole, _ = _run(capsys, *argv)
-    assert code == 0
+    # chunks of 7 rows split every curve and the stein columns; every
+    # golden table is the same
     monkeypatch.setattr(bindht.cli, "_LINE_CHUNK", 7)
-    code, chunked, _ = _run(capsys, *argv)
-    assert code == 0 and chunked == whole
+    for argv, shas in _TABLE_GOLDEN.items():
+        for fmt, want in zip(("csv", "jsonl"), shas):
+            code, out, _ = _run(capsys, *argv, "--format", fmt)
+            assert code == 0 and _sha256(out) == want, (argv, fmt)
 
 
 def test_tradeoff_zero_rate_baseline_is_zero(capsys):
@@ -333,6 +424,20 @@ def test_simulate_deterministic_output(tmp_path, capsys):
     assert (row["n"], row["trials"], row["seed"]) == ("10", "300", "3")
     assert 0.0 <= float(row["eps0"]) <= 1.0
     assert float(row["ci0_lo"]) <= float(row["eps0"]) <= float(row["ci0_hi"])
+
+
+def test_simulate_prints_large_seed_in_full(capsys):
+    # integer columns print with str; .12g would print 1e+13
+    code, out, err = _run(
+        capsys, "simulate", "--preset", "fig3a", "--threshold", "0.1",
+        "--n", "15", "--trials", "50", "--seed", "10000000000000",
+    )
+    assert code == 0 and err == ""
+    assert _sha256(out) == (
+        "406ec0615a26d7ac582a5d95772a67db3b1a447e12b34de32b73164d7bd963fc"
+    )
+    headers, rows = _parse_csv(out, "bindht.simulate.v1")
+    assert dict(zip(headers, rows[0]))["seed"] == "10000000000000"
 
 
 def test_simulate_trial_stream(tmp_path, capsys):

@@ -10,6 +10,7 @@ overlap.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -336,6 +337,41 @@ def test_np_log_errors_match_linear():
     l0, l1 = np_exact_log2_errors(n, p0, p1, theta)
     assert 2.0 ** l0 == pytest.approx(eps0, rel=1e-10)
     assert 2.0 ** l1 == pytest.approx(eps1, rel=1e-10)
+
+
+def _fraction_errors(n, p0, p1, theta):
+    """The threshold test's error pair as exact rational tail sums."""
+    k = math.floor(n * theta + 1e-9)
+
+    def pmf(p, j):
+        q = Fraction(p)
+        return math.comb(n, j) * q ** j * (1 - q) ** (n - j)
+
+    eps0 = sum(pmf(p0, j) for j in range(k + 1, n + 1))
+    eps1 = sum(pmf(p1, j) for j in range(k + 1))
+    return float(eps0), float(eps1)
+
+
+@pytest.mark.parametrize("args", [
+    (64, 0.05, 0.45, 0.02), (60, 0.01, 0.3, 0.01), (23, 0.01, 0.25, 0.1),
+    (50, 0.1, 0.3, 0.18), (100, 0.2, 0.35, 0.27), (200, 0.05, 0.2, 0.1),
+])
+def test_np_exact_errors_against_fractions(args):
+    # the miss probability used to be 1 - upper tail: -2.22e-15 against
+    # 1.29e-15 at the first point, 7e-6 relative off at the second
+    got = np_exact_errors(*args)
+    want = _fraction_errors(*args)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_np_full_tail_is_one():
+    # at theta = 1 the lower tail is the whole pmf, which rounding used
+    # could sum a few ulps above 1
+    for n, p in ((5, 0.1), (5, 0.5), (64, 0.3), (200, 0.45)):
+        l0, l1 = np_exact_log2_errors(n, 0.2, p, 1.0)
+        assert l0 == -math.inf and -1e-12 < l1 <= 0.0
+        eps0, eps1 = np_exact_errors(n, 0.2, p, 1.0)
+        assert eps0 == 0.0 and 1.0 - 1e-12 < eps1 <= 1.0
 
 
 def test_np_exponent_bracket():
