@@ -43,7 +43,6 @@ from .gf2 import (
     sample_random_linear_code,
 )
 from .oracle import (
-    ExactPmfQuery,
     enumerate_mixed_noise_pmf,
     exact_mixed_noise_pmf,
     np_exact_errors,
@@ -78,7 +77,6 @@ __all__ = [
     "BitMatrix",
     "CodeDiagnostics",
     "ErrorEstimate",
-    "ExactPmfQuery",
     "ExponentPair",
     "HypothesisPair",
     "LengthMismatchError",

@@ -227,7 +227,7 @@ def cmd_simulate(args):
         records = run_one_sided(cfg, nested)
     else:
         records = run_korner_marton(cfg, nested.coarse)
-    est = estimate_errors(records, args.n)
+    est = estimate_errors(records)
     if args.trial_stream:
         with open(args.trial_stream, "w", encoding="utf-8", newline="\n") as f:
             f.writelines(_trial_lines(records))

@@ -11,9 +11,13 @@ smallest vector) come from a table built by a breadth-first search over
 the syndrome space, cached per code.
 
 ``build_nested`` draws a pair of codes sharing generator rows so the
-coarse code is a subcode of the fine one; the coarse parity check is
-arranged as the fine rows followed by the difference rows, which makes
-the coarse syndrome of x literally the pair (fine syndrome, increment).
+coarse code is a subcode of the fine one; each keeps its own parity
+check.  Syndromes are linear, s(x ^ y) = s(x) ^ s(y), and that is all
+a decoder needs of the pair.  The coarse syndromes of the fine codewords take
+2^(k1 - k2) values, one per coarse coset inside the fine code, so the
+coarse syndrome of a quantized word U is the one-sided scheme's message,
+and s(Y) ^ s(U) = s(Y ^ U) is what its far terminal decodes.  The
+syndromes of X and Y likewise add to that of Z = X ^ Y.
 """
 
 import math
@@ -78,24 +82,17 @@ class BitMatrix:
 
 
 def _rank(rows):
-    """Rank over GF(2) by elimination on packed rows."""
+    """Rank over GF(2) by elimination on packed rows: each row is reduced
+    against a descending echelon basis and joins it if nonzero."""
     basis = []
     for r in rows:
-        _basis_insert(basis, int(r))
+        r = int(r)
+        for b in basis:
+            r = min(r, r ^ b)
+        if r:
+            basis.append(r)
+            basis.sort(reverse=True)
     return len(basis)
-
-
-def _basis_insert(basis, r):
-    """Reduce r against a descending echelon basis; insert if nonzero.
-
-    Returns the reduced value (zero when r was already in the span).
-    """
-    for b in basis:
-        r = min(r, r ^ b)
-    if r:
-        basis.append(r)
-        basis.sort(reverse=True)
-    return r
 
 
 def _rref(rows, cols):
@@ -168,26 +165,19 @@ class LinearCode:
 
 @dataclass(frozen=True)
 class NestedCode:
-    """Coarse subcode of a fine code, with the syndrome-increment rows.
-
-    The coarse parity check is the fine parity check stacked over
-    ``delta``, so a coarse syndrome splits as low fine-syndrome bits
-    followed by the increment bits.
-    """
+    """Coarse subcode of a fine code: every coarse generator row has
+    zero fine syndrome."""
 
     fine: LinearCode
     coarse: LinearCode
-    delta: BitMatrix
 
     def __post_init__(self):
         if self.fine.n != self.coarse.n:
             raise ParameterError("blocklength mismatch between the two codes")
-        if self.delta.rows != self.fine.k - self.coarse.k:
-            raise ParameterError("delta must have k1 - k2 rows")
-        if self.coarse.H.bits[: self.fine.H.rows] != self.fine.H.bits:
-            raise ParameterError("coarse parity check must extend the fine one")
-        if self.coarse.H.bits[self.fine.H.rows:] != self.delta.bits:
-            raise ParameterError("coarse parity check must end with delta")
+        for g in self.coarse.G.bits:
+            for h in self.fine.H.bits:
+                if (g & h).bit_count() & 1:
+                    raise ParameterError("coarse code is not a subcode")
 
 
 @dataclass(frozen=True)
@@ -454,19 +444,4 @@ def build_nested(n, rate_fine, rate_coarse, seed=None):
     fine = LinearCode(
         n, k1, BitMatrix.from_rows(rows, n), _parity_check(rows, n, k1)
     )
-    # difference rows: the part of the coarse dual not spanned by the
-    # fine parity check, reduced for determinism
-    basis = []
-    for h in fine.H.bits:
-        _basis_insert(basis, h)
-    delta = []
-    for h in coarse.H.bits:
-        red = _basis_insert(basis, h)
-        if red:
-            delta.append(red)
-    if len(delta) != k1 - k2:
-        raise ParameterError("nested parity-check completion failed")
-    stacked = BitMatrix.from_rows(fine.H.bits + tuple(delta), n)
-    coarse = LinearCode(n, k2, coarse.G, stacked)
-    return NestedCode(fine=fine, coarse=coarse,
-                      delta=BitMatrix.from_rows(delta, n))
+    return NestedCode(fine=fine, coarse=coarse)

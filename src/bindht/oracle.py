@@ -30,7 +30,6 @@ p; the route stays exhaustive.
 import functools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,22 +45,9 @@ _ENUM_BLOCK = 1 << 17
 _LOG_FACT = np.zeros(1)
 
 
-@dataclass(frozen=True)
-class ExactPmfQuery:
-    """One point query: blocklength n, counts na/nw/nt, crossover p."""
-
-    n: int
-    a_count: int
-    w_count: int
-    t_count: int
-    p: float
-
-    def __post_init__(self):
-        _check_query(self.n, self.a_count, self.w_count, self.t_count, self.p)
-
-
 def _check_query(n, a_count, w_count, t_count, p):
-    """Refuse a query ExactPmfQuery would refuse, with the same message."""
+    """Refuse a point query: blocklength n, counts na/nw/nt in [0, n]
+    (integers of any integer type), crossover p in [0, 1]."""
     counts = {"a_count": a_count, "w_count": w_count, "t_count": t_count}
     _require_int("n", n)
     for name, v in counts.items():
@@ -170,12 +156,12 @@ def _log_mixture(n, na, nw, nt, p, ball):
     return _logsumexp(log_hyp + terms)
 
 
-def exact_mixed_noise_pmf(query):
-    """P(wt(c + U + Z) = t_count) for the query, exactly."""
-    return float(math.exp(_log_mixture(
-        query.n, query.a_count, query.w_count, query.t_count, query.p,
-        ball=False,
-    )))
+def exact_mixed_noise_pmf(n, a_count, w_count, t_count, p):
+    """P(wt(c + U + Z) = t_count), exactly."""
+    _check_query(n, a_count, w_count, t_count, p)
+    return float(math.exp(
+        _log_mixture(n, a_count, w_count, t_count, p, ball=False)
+    ))
 
 
 def exact_mixed_noise_pmf_vector(n, a_count, w_count, p):

@@ -1,10 +1,20 @@
 """Monte Carlo runs of the coded testing schemes at small blocklengths.
 
 Trials draw the source pair (X, Y), push X through the actual linear-code
-machinery from `gf2` (quantize with the fine code, transmit the coarse
-syndrome increment, or exchange syndromes for the modulo-sum scheme), and
-apply the weight-threshold decision at the far terminal.  Blocklengths are
-small enough that coset leader tables make the decoders exact.
+machinery from `gf2`, and apply the weight-threshold decision at the far
+terminal.  Both schemes are syndrome schemes, so by linearity the far
+terminal coset-decodes a single word:
+
+* one-sided: U is the fine-code quantization of X, and the message is
+  its coarse syndrome, one of 2^(k1 - k2) values since U is a fine
+  codeword.  s(Y) ^ s(U) = s(Y ^ U), so the decoder holds the coarse
+  syndrome of Y ^ U.
+* Korner-Marton: the terminals send s(X) and s(Y), and
+  s(X) ^ s(Y) = s(Z) is the syndrome of the noise Z = X ^ Y.
+
+Blocklengths are small enough that coset leader tables make the decoders
+exact: the decoded word is the coset leader of that syndrome, and a bin
+error is a leader that differs from the word itself.
 
 Randomness is counter-based: each hypothesis of a run reads one Philox
 stream keyed by (seed, scheme id, hyp), trial after trial, 2n uniforms
@@ -20,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
-from .gf2 import _popcount64, coset_table, quantize, row_parities, syndromes
+from .gf2 import _popcount64, coset_table, quantize, syndromes
 from .regions import HypothesisPair, SchemeParams
 
 _SCHEME_IDS = {"one_sided": 0, "korner_marton": 1}
@@ -152,15 +162,16 @@ def _accept_weight(n, theta):
     return int(math.floor(n * theta + 1e-9))
 
 
-def _run(cfg, decode):
-    """Records of both hypotheses, nulls first; decode(x, z) gives the
-    coset-decoding error flags and decoded weights of (X, Z) words."""
+def _run(cfg, code, residual):
+    """Records of both hypotheses, nulls first.  Each trial coset-decodes
+    the word residual(x, z) of its (X, Z) words in `code`."""
+    table = coset_table(code)
     chunks = []
     for h, p in ((0, cfg.h.p0), (1, cfg.h.p1)):
         x, z = _draw_run(cfg, h, p)
         for lo in range(0, cfg.trials, _CHUNK):
             zc = z[lo:lo + _CHUNK]
-            err, w_hat = decode(x[lo:lo + _CHUNK], zc)
+            err, w_hat = _decode(code, table, residual(x[lo:lo + _CHUNK], zc))
             chunks.append((err, _popcount64(zc).astype(np.uint8), w_hat))
     bin_err, noise_w, decoded_w = (np.concatenate(c) for c in zip(*chunks))
     return TrialRecords(
@@ -173,14 +184,23 @@ def _run(cfg, decode):
     )
 
 
+def _decode(code, table, e):
+    """Bin-error flags and decoded weights of words e: the decoder sees
+    only the syndrome of e and picks the leader of its coset."""
+    leaders, weights = table
+    s = syndromes(code, e)
+    return leaders[s] != e, weights[s]
+
+
 def run_one_sided(cfg, nested):
     """Simulate the quantize-and-bin scheme over a nested code pair.
 
     Per trial: U is the fine-code quantization of X, the transmitted
-    message is the coarse syndrome increment of U, and the decoder picks
-    the member of the matching coarse coset closest to Y.  The decision
-    thresholds the normalized distance between Y and that estimate.
-    Returns the records of both hypotheses, nulls first.
+    message is the coarse syndrome of U, and the decoder picks the
+    member of the matching coarse coset closest to Y, which is Y minus
+    the coarse leader of Y ^ U.  The decision thresholds the normalized
+    distance between Y and that estimate.  Returns the records of both
+    hypotheses, nulls first.
     """
     if cfg.scheme != "one_sided":
         raise ParameterError(f"config is for scheme {cfg.scheme!r}")
@@ -188,21 +208,10 @@ def run_one_sided(cfg, nested):
         raise ParameterError(
             f"code blocklength {nested.fine.n} != config n {cfg.n}"
         )
-    m_fine = nested.fine.H.rows
-    # the coarse table is the larger one (k2 <= k1), so reading it here
-    # also checks the size bound of the fine table `quantize` reads
-    coarse_leaders, coarse_weights = coset_table(nested.coarse)
-
-    def decode(x, z):
-        y = x ^ z
-        u = quantize(nested.fine, x)
-        inc = row_parities(nested.delta.bits, u)
-        # the coarse syndrome stacks the fine bits below the increment
-        # bits, and U itself has zero fine syndrome
-        s_rel = syndromes(nested.coarse, y) ^ (inc << np.uint64(m_fine))
-        return (y ^ coarse_leaders[s_rel]) != u, coarse_weights[s_rel]
-
-    return _run(cfg, decode)
+    # `_run` reads the coarse table first; it is the larger one (k2 <= k1),
+    # so that also checks the size bound of the fine table `quantize` reads
+    return _run(cfg, nested.coarse,
+                lambda x, z: x ^ z ^ quantize(nested.fine, x))
 
 
 def run_korner_marton(cfg, code):
@@ -219,13 +228,7 @@ def run_korner_marton(cfg, code):
         raise ParameterError(f"code blocklength {code.n} != config n {cfg.n}")
     if cfg.params.a > 1e-12:
         raise ParameterError("the symmetric scheme has no quantization step")
-    leaders, weights = coset_table(code)
-
-    def decode(x, z):
-        s_z = syndromes(code, x) ^ syndromes(code, x ^ z)
-        return leaders[s_z] != z, weights[s_z]
-
-    return _run(cfg, decode)
+    return _run(cfg, code, lambda x, z: z)
 
 
 def decoded_weights(records, hypothesis):
@@ -253,11 +256,12 @@ def _exponent(eps, n):
     return math.inf if eps == 0.0 else 0.0 - math.log2(eps) / n
 
 
-def estimate_errors(records, n):
+def estimate_errors(records):
     """Aggregate trial records into an ErrorEstimate.
 
     Needs records from both hypotheses; the false-alarm rate comes from
-    the null trials, the miss rate from the alternative trials.
+    the null trials, the miss rate from the alternative trials, and the
+    exponents are normalized by the records' blocklength.
     """
     null = records.hypothesis == 0
     m0 = np.count_nonzero(null)
@@ -277,8 +281,8 @@ def estimate_errors(records, n):
         eps1=eps1,
         ci0=_wilson(k0, m0),
         ci1=_wilson(k1, m1),
-        exponent0=_exponent(eps0, n),
-        exponent1=_exponent(eps1, n),
+        exponent0=_exponent(eps0, records.n),
+        exponent1=_exponent(eps1, records.n),
         bin_rate0=b0 / m0,
         bin_rate1=b1 / m1,
     )

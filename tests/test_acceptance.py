@@ -195,8 +195,8 @@ def test_criterion_08_simulation_consistency():
             scheme="korner_marton",
         )
         rec_km = run_korner_marton(cfg_km, nested.coarse)
-        ests["one_sided"][n] = estimate_errors(rec_q, n)
-        ests["korner_marton"][n] = estimate_errors(rec_km, n)
+        ests["one_sided"][n] = estimate_errors(rec_q)
+        ests["korner_marton"][n] = estimate_errors(rec_km)
 
         # (ii) the two schemes decode the same weight statistic, so their
         # independently seeded histograms must agree closely

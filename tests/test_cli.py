@@ -296,6 +296,61 @@ def test_exponents_fuzz_ends_in_table_or_usage_error(flags, schemes):
         assert err.getvalue().count("\n") == 1
 
 
+@st.composite
+def _simulate_flags(draw):
+    """simulate flags from their valid ranges, a drawn subset of them
+    then replaced by edge values.  n stays at most 16 and trials at most
+    30, so every run is small; the trial bound is only met as a refusal."""
+    p0, p1 = sorted([draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.5))])
+    flags = {
+        "p0": p0, "p1": p1, "rate": draw(st.floats(0.0, 1.0)),
+        "threshold": draw(st.floats(0.0, 1.0)), "a": draw(st.floats(0.0, 0.5)),
+        "n": draw(st.integers(1, 16)), "trials": draw(st.integers(1, 30)),
+        "seed": draw(st.integers(0, 2**64)),
+    }
+    # argparse refuses the non-integer edges of n, trials and seed
+    int_edges = {"n": (0, 1, -1), "trials": (0, 1, -1, _MAX_TRIALS + 1),
+                 "seed": (0, 1, -1)}
+    for key in draw(st.sets(st.sampled_from(sorted(flags)))):
+        flags[key] = draw(st.sampled_from(int_edges.get(key, ()) + _EDGES))
+    return flags
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(
+    flags=_simulate_flags(),
+    scheme=st.sampled_from(["one_sided", "korner_marton"]),
+)
+def test_simulate_fuzz_ends_in_table_or_usage_error(flags, scheme):
+    # valid draws and edge values alike end in one summary row of rates
+    # in [0, 1] (exit 0) or in exit 2 with one error line and no traceback
+    argv = ["simulate", *(f"--{k}={v!r}" for k, v in flags.items())]
+    argv.append(f"--scheme={scheme}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a non-integer count
+            code = exc.code
+    if code == 0:
+        assert err.getvalue() == ""
+        headers, rows = _parse_csv(out.getvalue(), "bindht.simulate.v1")
+        assert len(rows) == 1
+        row = dict(zip(headers, rows[0]))
+        for key in ("eps0", "eps1", "bin_rate0", "bin_rate1"):
+            assert 0.0 <= float(row[key]) <= 1.0, (argv, row)
+        for key in ("exponent0", "exponent1"):
+            assert float(row[key]) >= 0.0, (argv, row)
+    else:
+        assert code == 2 and out.getvalue() == "", argv
+        text = err.getvalue()
+        assert text.startswith(("error: ", "usage: ")) and "Traceback" not in text
+        # one error line; argparse puts its usage lines above it
+        lines = text.splitlines()
+        assert [ln for ln in lines if "error: " in ln] == lines[-1:], argv
+
+
 @pytest.mark.parametrize("resolution", ["0", "-3"])
 def test_stein_resolution_below_one_is_usage_error(capsys, resolution):
     code, out, err = _run(

@@ -15,6 +15,7 @@ from scipy.special import xlogy
 
 import bindht.exponents as exponents
 from bindht.binmath import (
+    DOMAIN_TOL,
     _h_vec,
     binary_convolution,
     binary_divergence,
@@ -41,10 +42,14 @@ _LN2 = math.log(2.0)
 
 
 def _persp(x, alpha, p):
-    """Direct alpha-scaled divergence, the brute-force counterpart."""
+    """Direct alpha-scaled divergence over an array of weights x, the
+    brute-force counterpart; the divergence is written with xlogy, so
+    it does not go through bindht.binmath."""
     if alpha == 0.0:
-        return 0.0
-    return alpha * binary_divergence(min(max(x / alpha, 0.0), 1.0), p)
+        return np.zeros_like(x)
+    q = np.clip(x / alpha, 0.0, 1.0)
+    d = (xlogy(q, q / p) + xlogy(1.0 - q, (1.0 - q) / (1.0 - p))) / _LN2
+    return alpha * np.maximum(d, 0.0)
 
 
 def _wd_brute(p, alpha, beta, tau, npts=4001):
@@ -53,11 +58,8 @@ def _wd_brute(p, alpha, beta, tau, npts=4001):
     hi = min(beta, alpha - tau)
     if hi < lo:
         return math.inf
-    best = math.inf
-    for x in np.linspace(lo, hi, npts):
-        val = _persp(x + tau, alpha, p) + _persp(x, beta, p)
-        best = min(best, val)
-    return best
+    x = np.linspace(lo, hi, npts)
+    return float(np.min(_persp(x + tau, alpha, p) + _persp(x, beta, p)))
 
 
 def test_weight_difference_against_grid():
@@ -107,15 +109,21 @@ def _overlap_rate(r, w, g):
 
 
 def _sphere_brute(p, r, w, tau, npts=2001):
-    """Scan the overlap between the radius-r shell and the center."""
-    best = math.inf
-    for g in np.linspace(max(0.0, r + w - 1.0), min(r, w), npts):
-        sig = w + r - 2.0 * g
-        val = _overlap_rate(r, w, g) + weight_difference_exponent(
-            p, 1.0 - sig, sig, tau - sig
-        )
-        best = min(best, val)
-    return max(best, 0.0)
+    """Scan the overlap between the radius-r shell and the center.
+
+    Each overlap's weight-difference term is `_ew_vec` under the rules
+    of `weight_difference_exponent`: the clamps of alpha, beta and tau,
+    and +inf outside [-beta, alpha] by more than DOMAIN_TOL.  Where
+    1 - w - r + g rounds below 0 at the lowest overlap, the overlap rate
+    is NaN, and the scan skips that point (nanmin).
+    """
+    g = np.linspace(max(0.0, r + w - 1.0), min(r, w), npts)
+    sig = w + r - 2.0 * g
+    alpha, beta, t = np.maximum(1.0 - sig, 0.0), np.maximum(sig, 0.0), tau - sig
+    inside = (t >= -beta - DOMAIN_TOL) & (t <= alpha + DOMAIN_TOL)
+    ew = np.where(inside, _ew_vec(p, alpha, beta, np.clip(t, -beta, alpha)),
+                  math.inf)
+    return max(float(np.nanmin(_overlap_rate(r, w, g) + ew)), 0.0)
 
 
 def test_mixed_weight_against_overlap_scan():

@@ -22,6 +22,7 @@ from bindht.errors import (
 from bindht.gf2 import (
     BitMatrix,
     LinearCode,
+    NestedCode,
     build_nested,
     codewords,
     coset_table,
@@ -286,13 +287,18 @@ def test_nested_code_containment():
     assert nested.fine.k == 12 and nested.coarse.k == 4
     # every coarse codeword lies in the fine code
     assert not syndromes(nested.fine, codewords(nested.coarse)).any()
-    # coarse syndrome = fine syndrome bits then increment bits
-    m1 = np.uint64(nested.fine.H.rows)
-    x = np.array([0, 0x1234, 0xFFFF, 0x0F0F], dtype=np.uint64)
-    s_fine = syndromes(nested.fine, x)
-    inc = row_parities(nested.delta.bits, x)
-    assert np.array_equal(syndromes(nested.coarse, x), s_fine | (inc << m1))
-    assert inc[1:].any()
+
+
+def test_nested_code_refuses_non_subcode():
+    nested = build_nested(12, 0.75, 0.25, seed=1)
+    assert NestedCode(nested.fine, nested.coarse) == nested
+    # swapped, the larger code has a generator row outside the smaller one
+    with pytest.raises(ParameterError, match="not a subcode"):
+        NestedCode(fine=nested.coarse, coarse=nested.fine)
+    other = sample_random_linear_code(12, 3, seed=4)
+    assert syndromes(nested.fine, codewords(other)).any()
+    with pytest.raises(ParameterError, match="not a subcode"):
+        NestedCode(nested.fine, other)
 
 
 def test_nested_rate_targets_within_one_over_n():
@@ -302,15 +308,20 @@ def test_nested_rate_targets_within_one_over_n():
         assert abs(nested.coarse.k / n - r2) <= 1.0 / n + 1e-12
 
 
-def test_nested_increment_constant_on_coarse_cosets():
-    nested = build_nested(12, 0.8, 0.4, seed=3)
-    rng = np.random.default_rng(5)
-    x = rng.integers(0, 1 << 12, size=20, dtype=np.uint64)
-    inc = row_parities(nested.delta.bits, x)
-    shifted = x[:, None] ^ codewords(nested.coarse)[None, :8]
-    assert np.array_equal(
-        row_parities(nested.delta.bits, shifted), np.repeat(inc[:, None], 8, 1)
-    )
+@pytest.mark.parametrize(
+    "n,r1,r2,seed", [(12, 0.8, 0.4, 3), (16, 0.75, 0.25, 7), (13, 1.0, 0.5, 2)]
+)
+def test_nested_message_alphabet(n, r1, r2, seed):
+    # the one-sided message is the coarse syndrome of a fine codeword:
+    # it takes exactly 2^(k1 - k2) values, each on one whole coarse coset
+    nested = build_nested(n, r1, r2, seed=seed)
+    fine_cw = codewords(nested.fine)
+    msg = syndromes(nested.coarse, fine_cw)
+    values, counts = np.unique(msg, return_counts=True)
+    assert len(values) == 1 << (nested.fine.k - nested.coarse.k)
+    assert (counts == 1 << nested.coarse.k).all()
+    shifted = fine_cw[::7, None] ^ codewords(nested.coarse)[None, :]
+    assert (syndromes(nested.coarse, shifted) == msg[::7, None]).all()
 
 
 def test_full_space_fine_code():

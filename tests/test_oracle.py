@@ -19,7 +19,6 @@ from scipy.stats import binom
 
 from bindht.errors import ParameterError, ResourceLimitError
 from bindht.oracle import (
-    ExactPmfQuery,
     _enumerate_counts,
     _log_comb,
     _overlap_range,
@@ -220,8 +219,7 @@ def test_pmf_scalar_matches_vector():
         for p in (0.0, 0.2, 1.0):
             vec = exact_mixed_noise_pmf_vector(n, na, nw, p)
             for nt in range(n + 1):
-                q = ExactPmfQuery(n, na, nw, nt, p)
-                assert exact_mixed_noise_pmf(q) == pytest.approx(
+                assert exact_mixed_noise_pmf(n, na, nw, nt, p) == pytest.approx(
                     vec[nt], rel=1e-12, abs=1e-300
                 ), (n, na, nw, nt, p)
 
@@ -389,16 +387,19 @@ def test_np_exponent_bracket():
 
 def test_query_validation():
     with pytest.raises(ParameterError):
-        ExactPmfQuery(10, 11, 0, 0, 0.3)
+        exact_mixed_noise_pmf(10, 11, 0, 0, 0.3)
     with pytest.raises(ParameterError, match="n=2.5 is not an integer"):
         enumerate_mixed_noise_pmf(2.5, 1, 1, 0.1)
     with pytest.raises(ParameterError, match="a_count=1.0 is not an integer"):
-        ExactPmfQuery(4, 1.0, 1, 0, 0.1)
+        exact_mixed_noise_pmf(4, 1.0, 1, 0, 0.1)
     with pytest.raises(ParameterError, match="n=64.5 is not an integer"):
         exact_mixed_noise_pmf_vector(64.5, 1, 1, 0.1)
-    assert ExactPmfQuery(np.int64(4), np.int32(1), np.uint8(2), 0, 0.1).n == 4
+    # numpy integers of any width are counts
+    assert exact_mixed_noise_pmf(
+        np.int64(4), np.int32(1), np.uint8(2), 0, 0.1
+    ) == exact_mixed_noise_pmf(4, 1, 2, 0, 0.1)
     with pytest.raises(ParameterError):
-        ExactPmfQuery(10, 0, 0, 0, 1.3)
+        exact_mixed_noise_pmf(10, 0, 0, 0, 1.3)
     with pytest.raises(ParameterError):
         np_exact_errors(0, 0.1, 0.2, 0.5)
     with pytest.raises(ResourceLimitError):
@@ -415,9 +416,9 @@ def test_query_validation():
     (6, 2.5, 3, 0.1), (6, 2, 7, 0.1), (6, 2, 3, float("nan")),
 ], ids=["non-integer", "above-n", "nan-p"])
 def test_pmf_routes_refuse_as_the_query_does(fn, args):
-    # both routes skip building a query, and give its message
+    # the vector routes refuse as the point query does, with its message
     with pytest.raises(ParameterError) as want:
-        ExactPmfQuery(*args[:3], 0, args[3])
+        exact_mixed_noise_pmf(*args[:3], 0, args[3])
     with pytest.raises(ParameterError) as got:
         fn(*args)
     assert str(got.value) == str(want.value)

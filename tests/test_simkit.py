@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+from bindht.binmath import binary_entropy
 from bindht.gf2 import build_nested, coset_table, sample_random_linear_code
 from bindht.errors import ParameterError, ResourceLimitError
 from bindht.regions import HypothesisPair, SchemeParams
@@ -240,11 +241,91 @@ def test_monte_carlo_matches_enumeration():
         (run_korner_marton(cfg_km, code), code),
     )
     for records, decode_code in runs:
-        est = estimate_errors(records, 10)
+        est = estimate_errors(records)
         for hyp, p, rate in ((0, 0.1, est.eps0), (1, 0.35, 1.0 - est.eps1)):
             exact = _exact_decided_prob(decode_code, p, k_acc)
             sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / trials)
             assert abs(rate - exact) < 4 * sigma + 1e-9
+
+
+def _span(rows):
+    """Every GF(2) combination of the packed rows, as Python ints."""
+    words = [0]
+    for g in rows:
+        words += [w ^ g for w in words]
+    return words
+
+
+def _closest(target, members, n):
+    """The member closest to target, ties to the least (weight,
+    bit-reversed value) of the difference, as the coset leaders break
+    them."""
+    def key(v):
+        d = v ^ target
+        return d.bit_count(), int(f"{d:0{n}b}"[::-1], 2)
+    return min(members, key=key)
+
+
+def _brute_records(cfg, decode):
+    """Record columns per trial from decode(x, y) -> (estimate, truth),
+    the far terminal's word and the one it should have found."""
+    k_acc = _accept_weight(cfg.n, cfg.params.theta)
+    cols = []
+    for hyp, p in ((0, cfg.h.p0), (1, cfg.h.p1)):
+        xs, zs = _draw_run(cfg, hyp, p)
+        for x, z in zip(xs.tolist(), zs.tolist()):
+            y = x ^ z
+            est, truth = decode(x, y)
+            w_hat = (y ^ est).bit_count()
+            cols.append((est != truth, w_hat > k_acc, z.bit_count(), w_hat))
+    return [np.array(c) for c in zip(*cols)]
+
+
+def _assert_columns(records, want):
+    got = (records.bin_error, records.decided, records.noise_weight,
+           records.decoded_weight)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_one_sided_matches_per_trial_brute_force():
+    # U: the fine codeword closest to X; estimate: the member of U's
+    # coarse coset closest to Y; both searched over whole codes
+    n, a = 12, 0.1
+    rate_fine = 1.0 - binary_entropy(a)
+    nested = build_nested(n, rate_fine, rate_fine - 0.3, seed=2)
+    cfg = replace(_one_sided_cfg(trials=150, seed=6), n=n,
+                  params=SchemeParams(a=a, theta=0.25, rate_x=0.3))
+    fine = _span(nested.fine.G.bits)
+    coarse = _span(nested.coarse.G.bits)
+
+    def decode(x, y):
+        u = _closest(x, fine, n)
+        return _closest(y, [u ^ c for c in coarse], n), u
+
+    records = run_one_sided(cfg, nested)
+    want = _brute_records(cfg, decode)
+    _assert_columns(records, want)
+    assert want[0].any() and want[1].any()
+
+
+def test_korner_marton_matches_per_trial_brute_force():
+    # the decoded noise is the member of Z's coset closest to 0, so the
+    # estimate of Y's partner word is Y minus it
+    n = 12
+    code = sample_random_linear_code(n, 6, seed=8)
+    cfg = _km_cfg(trials=150, seed=3)
+    cfg = replace(cfg, n=n, params=replace(cfg.params, theta=0.25))
+    cws = _span(code.G.bits)
+
+    def decode(x, y):
+        z_hat = _closest(0, [(x ^ y) ^ c for c in cws], n)
+        return y ^ z_hat, x
+
+    records = run_korner_marton(cfg, code)
+    want = _brute_records(cfg, decode)
+    _assert_columns(records, want)
+    assert want[0].any() and want[1].any()
 
 
 def test_korner_marton_rejects_quantization():
@@ -310,7 +391,7 @@ def test_estimate_errors_synthetic_counts():
         (10, (1, True, 1, 3, 2)),
         (10, (1, False, 0, 3, 1)),
     )
-    est = estimate_errors(records, 10)
+    est = estimate_errors(records)
     assert (est.trials0, est.trials1) == (20, 20)
     assert est.eps0 == 0.0
     assert est.exponent0 == math.inf
@@ -327,7 +408,7 @@ def test_estimate_errors_all_wrong():
         (8, (0, False, 1, 0, 1)),
         (8, (1, False, 1, 2, 2)),
     )
-    est = estimate_errors(records, 4)
+    est = estimate_errors(records)
     assert est.eps0 == 1.0
     assert est.exponent0 == 0.0
     assert est.ci0 == (1.0 - 3.0 / 8.0, 1.0)
@@ -342,7 +423,7 @@ def test_estimate_errors_certain_error_exponent_is_positive_zero():
         (8, (0, False, 1, 0, 1)),
         (8, (1, False, 0, 2, 0)),
     )
-    est = estimate_errors(records, 4)
+    est = estimate_errors(records)
     assert (est.eps0, est.eps1) == (1.0, 1.0)
     assert math.copysign(1.0, est.exponent0) == 1.0
     assert math.copysign(1.0, est.exponent1) == 1.0
@@ -350,9 +431,9 @@ def test_estimate_errors_certain_error_exponent_is_positive_zero():
 
 def test_estimate_errors_needs_both_hypotheses():
     with pytest.raises(ParameterError):
-        estimate_errors(_records(10, (5, (0, False, 0, 1, 1))), 10)
+        estimate_errors(_records(10, (5, (0, False, 0, 1, 1))))
     with pytest.raises(ParameterError):
-        estimate_errors(_records(10), 10)
+        estimate_errors(_records(10))
 
 
 @pytest.mark.parametrize("k,m", [(1, 10), (3, 50), (17, 40), (120, 200), (199, 200)])
