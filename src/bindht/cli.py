@@ -220,13 +220,13 @@ def cmd_simulate(args):
         h=HypothesisPair(p0, p1), params=params, scheme=scheme,
     )
     rate_fine = 1.0 - binary_entropy(args.a)
-    nested = build_nested(
-        args.n, rate_fine, rate_fine - rate, seed=args.seed
-    )
+    rate_coarse = rate_fine - rate
     if scheme == "one_sided":
+        nested = build_nested(args.n, rate_fine, rate_coarse, seed=args.seed)
         records = run_one_sided(cfg, nested)
-    else:
-        records = run_korner_marton(cfg, nested.coarse)
+    else:  # a pair of equal rates draws the coarse code, no fine rows
+        pair = build_nested(args.n, rate_coarse, rate_coarse, seed=args.seed)
+        records = run_korner_marton(cfg, pair.coarse)
     est = estimate_errors(records)
     if args.trial_stream:
         with open(args.trial_stream, "w", encoding="utf-8", newline="\n") as f:

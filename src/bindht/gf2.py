@@ -3,15 +3,16 @@
 Words and matrix rows are packed with bit j holding coordinate j, so
 XOR is vector addition and a popcount is the Hamming weight.  Rows are
 plain Python ints; words are uint64, and `syndromes`, `quantize` and
-`row_parities` take an int or an array of words.  The parity check of
-a code fixes a syndrome map s(x) = x H^T whose bit i is the parity of
-row i against x (an XOR of per-byte tables cached per matrix).  Coset
-leaders (minimum-weight coset members, ties to the lexicographically
-smallest vector) come from a table built by a breadth-first search over
-the syndrome space, cached per code.
+`row_parities` take an int or an array of words.  A code is its
+generator G; its parity check H is derived from the reduced echelon
+form of G, so G alone fixes the syndrome map s(x) = x H^T, whose bit i
+is the parity of row i against x (an XOR of per-byte tables cached per
+matrix).  Coset leaders (minimum-weight coset members, ties to the
+lexicographically smallest vector) come from a table built by a
+breadth-first search over the syndrome space, cached per code.
 
 ``build_nested`` draws a pair of codes sharing generator rows so the
-coarse code is a subcode of the fine one; each keeps its own parity
+coarse code is a subcode of the fine one; each derives its own parity
 check.  Syndromes are linear, s(x ^ y) = s(x) ^ s(y), and that is all
 a decoder needs of the pair.  The coarse syndromes of the fine codewords take
 2^(k1 - k2) values, one per coarse coset inside the fine code, so the
@@ -21,7 +22,7 @@ syndromes of X and Y likewise add to that of Z = X ^ Y.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -81,20 +82,6 @@ class BitMatrix:
         return cls(len(rows), cols, tuple(int(r) for r in rows))
 
 
-def _rank(rows):
-    """Rank over GF(2) by elimination on packed rows: each row is reduced
-    against a descending echelon basis and joins it if nonzero."""
-    basis = []
-    for r in rows:
-        r = int(r)
-        for b in basis:
-            r = min(r, r ^ b)
-        if r:
-            basis.append(r)
-            basis.sort(reverse=True)
-    return len(basis)
-
-
 def _rref(rows, cols):
     """Reduced row echelon form; returns (rows, pivot column per row).
 
@@ -117,46 +104,41 @@ def _rref(rows, cols):
     return out, pivots
 
 
-def _parity_check(gen_rows, n, k):
-    """Parity-check rows for a full-rank k x n generator."""
-    rref, pivots = _rref(gen_rows, n)
-    if len(rref) != k:
-        raise ParameterError("generator rows are not independent")
-    free = [c for c in range(n) if c not in pivots]
-    rows = []
-    for f in free:
-        r = 1 << f
-        for g, p in zip(rref, pivots):
-            if (g >> f) & 1:
-                r |= 1 << p
-        rows.append(r)
-    return BitMatrix.from_rows(rows, n)
-
-
 @dataclass(frozen=True)
 class LinearCode:
-    """[n, k] binary linear code with generator G and parity check H."""
+    """[n, k] binary linear code fixed by its k x n generator G.
 
-    n: int
-    k: int
+    The parity check H is a function of G: one row per non-pivot column
+    f of the reduced echelon form of G, holding f and the pivots of the
+    echelon rows that contain f.  So G alone fixes the syndrome labelling.
+    """
+
     G: BitMatrix
-    H: BitMatrix
+    H: BitMatrix = field(init=False, compare=False)
 
     def __post_init__(self):
-        if not (1 <= self.k <= self.n):
-            raise ParameterError(f"need 1 <= k <= n, got k={self.k} n={self.n}")
-        if self.G.rows != self.k or self.G.cols != self.n:
-            raise ParameterError("generator shape mismatch")
-        if self.H.rows != self.n - self.k or self.H.cols != self.n:
-            raise ParameterError("parity-check shape mismatch")
-        if _rank(self.G.bits) != self.k:
+        n = self.n
+        if not self.k:
+            raise ParameterError(f"need 1 <= k <= n, got k=0 n={n}")
+        rref, pivots = _rref(self.G.bits, n)
+        if len(rref) != self.k:
             raise ParameterError("generator is rank deficient")
-        if _rank(self.H.bits) != self.n - self.k:
-            raise ParameterError("parity check is rank deficient")
-        for g in self.G.bits:
-            for h in self.H.bits:
-                if (g & h).bit_count() & 1:
-                    raise ParameterError("G H^T != 0")
+        rows = []
+        for f in (c for c in range(n) if c not in pivots):
+            r = 1 << f
+            for g, p in zip(rref, pivots):
+                if (g >> f) & 1:
+                    r |= 1 << p
+            rows.append(r)
+        object.__setattr__(self, "H", BitMatrix.from_rows(rows, n))
+
+    @property
+    def n(self):
+        return self.G.cols
+
+    @property
+    def k(self):
+        return self.G.rows
 
     @property
     def rate(self):
@@ -196,9 +178,8 @@ def sample_random_linear_code(n, k, seed=None):
     rng = np.random.default_rng(seed)
     for _ in range(_SAMPLE_TRIES):
         rows = [pack_bits(rng.integers(0, 2, size=n)) for _ in range(k)]
-        if _rank(rows) == k:
-            gen = BitMatrix.from_rows(rows, n)
-            return LinearCode(n, k, gen, _parity_check(rows, n, k))
+        if len(_rref(rows, n)[0]) == k:
+            return LinearCode(BitMatrix.from_rows(rows, n))
     raise SamplingFailureError(
         f"no full-rank {k}x{n} generator in {_SAMPLE_TRIES} draws"
     )
@@ -297,7 +278,8 @@ def _leader_data(code):
     frontier = np.zeros(1, dtype=np.intp)
     remaining = size - 1
     w = 0
-    # H has full rank (LinearCode checks it), so every syndrome is reached
+    # H has full rank n - k (one row per free column), so every syndrome
+    # is reached
     while remaining:
         w += 1
         for lo in range(0, frontier.size, _BFS_CHUNK):
@@ -407,11 +389,8 @@ def improve_covering(code, seed=None, rounds=None, candidates=64):
                 best = (m_score, v)
         if best is None:
             break
-        rows = current.G.bits + (best[1],)
-        gen = BitMatrix.from_rows(rows, current.n)
         current = LinearCode(
-            current.n, current.k + 1, gen,
-            _parity_check(rows, current.n, current.k + 1),
+            BitMatrix.from_rows(current.G.bits + (best[1],), current.n)
         )
     return current
 
@@ -437,11 +416,9 @@ def build_nested(n, rate_fine, rate_coarse, seed=None):
         if len(rows) == k1:
             break
         v = pack_bits(rng.integers(0, 2, size=n))
-        if _rank(rows + [v]) == len(rows) + 1:
+        if len(_rref(rows + [v], n)[0]) == len(rows) + 1:
             rows.insert(0, v)
     if len(rows) != k1:
         raise SamplingFailureError(f"could not extend to k1={k1} at n={n}")
-    fine = LinearCode(
-        n, k1, BitMatrix.from_rows(rows, n), _parity_check(rows, n, k1)
-    )
+    fine = LinearCode(BitMatrix.from_rows(rows, n))
     return NestedCode(fine=fine, coarse=coarse)

@@ -349,9 +349,9 @@ def stein_sweep(p1, rate, p0_lo, p0_hi, npts, alphas=None):
             f"stein sweep would evaluate {rows} level rows, above the limit "
             f"of {_MAX_CURVE_ROWS}; lower the resolution"
         )
+    for p0 in (p0_lo, p0_hi):  # 0 <= p0 <= p1 <= 1/2 at both ends holds
+        HypothesisPair(p0, p1)  # between; an inf end never meets linspace
     p0s = np.linspace(p0_lo, p0_hi, npts)
-    for p0 in p0s.tolist():
-        HypothesisPair(p0, p1)  # checks 0 <= p0 <= p1 <= 1/2
     cell_p0 = np.repeat(p0s, alphas.size)
     cell_rate = np.tile(np.minimum(rate / alphas, 1.0), npts)
     new, prior, sym = (np.empty(cell_p0.size) for _ in range(3))

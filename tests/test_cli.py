@@ -351,6 +351,72 @@ def test_simulate_fuzz_ends_in_table_or_usage_error(flags, scheme):
         assert [ln for ln in lines if "error: " in ln] == lines[-1:], argv
 
 
+@st.composite
+def _sweep_flags(draw, command):
+    """stein or tradeoff flags from their valid ranges, a drawn subset of
+    them then replaced by edge values.  stein's p0 is one value or a
+    lo:hi range.  Resolutions stay at most 4, and the work bound is only
+    met as a refusal, by a resolution above ``_MAX_CURVE_ROWS``."""
+    p0, p1 = sorted([draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.5))])
+    flags = {
+        "p0": p0, "p1": p1, "rate": draw(st.floats(0.0, 1.0)),
+        "resolution": draw(st.integers(1 if command == "stein" else 2, 4)),
+    }
+    int_edges = (0, 1, -1, _MAX_CURVE_ROWS + 1)
+    for key in draw(st.sets(st.sampled_from(sorted(flags)))):
+        edges = int_edges if key == "resolution" else _EDGES
+        flags[key] = draw(st.sampled_from(edges))
+    flags = {k: repr(v) for k, v in flags.items()}
+    if command == "stein" and draw(st.booleans()):
+        hi = draw(st.sampled_from((p1, draw(st.floats(0.0, 0.5))) + _EDGES))
+        flags["p0"] += f":{hi!r}"
+    return flags
+
+
+def _assert_table_or_usage_error(argv, schema, columns):
+    # exit 0 with non-negative, non-NaN exponents in the named columns,
+    # or exit 2 with one error line and no traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        headers, rows = _parse_csv(out.getvalue(), schema)
+        assert rows, argv
+        for row in rows:
+            for key in columns:
+                assert float(row[headers.index(key)]) >= 0.0, (argv, row)
+    else:
+        assert code == 2 and out.getvalue() == "", argv
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1, argv
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(flags=_sweep_flags("stein"))
+def test_stein_fuzz_ends_in_table_or_usage_error(flags):
+    argv = ["stein", *(f"--{k}={v}" for k, v in flags.items())]
+    _assert_table_or_usage_error(
+        argv, "bindht.stein.v1",
+        ("unconstrained", "one_sided", "prior", "symmetric"),
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(
+    flags=_sweep_flags("tradeoff"),
+    schemes=st.lists(st.sampled_from(SCHEMES), min_size=1, max_size=2),
+)
+def test_tradeoff_fuzz_ends_in_table_or_usage_error(flags, schemes):
+    argv = ["tradeoff", *(f"--{k}={v}" for k, v in flags.items())]
+    argv += [f"--scheme={s}" for s in schemes]
+    _assert_table_or_usage_error(
+        argv, "bindht.tradeoff.v1", ("e0", "e1", "a", "alpha")
+    )
+
+
 @pytest.mark.parametrize("resolution", ["0", "-3"])
 def test_stein_resolution_below_one_is_usage_error(capsys, resolution):
     code, out, err = _run(

@@ -99,11 +99,15 @@ def test_weight_difference_validation():
 
 
 def _overlap_rate(r, w, g):
-    """Exponent of a uniform radius-r shell point overlapping the center in g."""
+    """Exponent of a uniform radius-r shell point overlapping the center in g.
+
+    The four cell masses are clamped at 0, so a mass that rounds just
+    below 0 counts as an empty cell rather than giving NaN.
+    """
+    cells = np.maximum([g, w - g, r - g, 1.0 - w - r + g], 0.0)
     return (
         binary_entropy(r)
-        + (xlogy(g, g) + xlogy(w - g, w - g) + xlogy(r - g, r - g)
-           + xlogy(1.0 - w - r + g, 1.0 - w - r + g)
+        + (xlogy(cells, cells).sum(axis=0)
            - xlogy(w, w) - xlogy(1.0 - w, 1.0 - w)) / _LN2
     )
 
@@ -113,9 +117,9 @@ def _sphere_brute(p, r, w, tau, npts=2001):
 
     Each overlap's weight-difference term is `_ew_vec` under the rules
     of `weight_difference_exponent`: the clamps of alpha, beta and tau,
-    and +inf outside [-beta, alpha] by more than DOMAIN_TOL.  Where
-    1 - w - r + g rounds below 0 at the lowest overlap, the overlap rate
-    is NaN, and the scan skips that point (nanmin).
+    and +inf outside [-beta, alpha] by more than DOMAIN_TOL.  Every
+    overlap on the grid is scanned, the lowest included: where
+    1 - w - r + g rounds below 0 there, `_overlap_rate` clamps it to 0.
     """
     g = np.linspace(max(0.0, r + w - 1.0), min(r, w), npts)
     sig = w + r - 2.0 * g
@@ -123,7 +127,7 @@ def _sphere_brute(p, r, w, tau, npts=2001):
     inside = (t >= -beta - DOMAIN_TOL) & (t <= alpha + DOMAIN_TOL)
     ew = np.where(inside, _ew_vec(p, alpha, beta, np.clip(t, -beta, alpha)),
                   math.inf)
-    return max(float(np.nanmin(_overlap_rate(r, w, g) + ew)), 0.0)
+    return max(float(np.min(_overlap_rate(r, w, g) + ew)), 0.0)
 
 
 def test_mixed_weight_against_overlap_scan():

@@ -70,18 +70,52 @@ def test_sample_code_structure():
 
 
 def test_repetition_code_by_hand():
-    # [3,1] repetition: parity checks 011 and 101
-    code = LinearCode(
-        n=3, k=1,
-        G=BitMatrix.from_rows([0b111], 3),
-        H=BitMatrix.from_rows([0b011, 0b101], 3),
-    )
+    # [3,1] repetition: parity checks 011 and 101, derived from G
+    code = LinearCode(BitMatrix.from_rows([0b111], 3))
+    assert (code.n, code.k) == (3, 1)
+    assert code.H.bits == (0b011, 0b101)
     assert int(syndromes(code, 0b111)) == 0
     assert int(quantize(code, 0b110)) == 0b111
     diag = diagnostics(code)
     assert diag.spectrum == {0: 1, 3: 1}
     assert diag.covering_radius_norm == pytest.approx(1.0 / 3.0)
     assert diag.min_distance_norm == pytest.approx(1.0)
+
+
+def _rank_brute(rows, n):
+    """Rank over GF(2) by Gaussian elimination on the bit lists of the rows."""
+    m = [[(r >> j) & 1 for j in range(n)] for r in rows]
+    rank = 0
+    for col in range(n):
+        hit = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if hit is None:
+            continue
+        m[rank], m[hit] = m[hit], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                m[i] = [a ^ b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 23, 64])
+def test_parity_check_is_derived_from_the_generator(n):
+    # H is a basis of the dual code: every generator row has zero
+    # syndrome and H has rank n - k, down to an empty H at k = n
+    rng = np.random.default_rng(n)
+    for k in range(1, n + 1):
+        code = sample_random_linear_code(n, k, seed=rng)
+        assert code.H.rows == n - k and code.H.cols == n
+        assert [syndrome(code, g) for g in code.G.bits] == [0] * k
+        assert _rank_brute(code.H.bits, n) == n - k
+
+
+def test_linear_code_refuses_empty_and_rank_deficient_generators():
+    with pytest.raises(ParameterError, match="k=0"):
+        LinearCode(BitMatrix.from_rows([], 5))
+    for rows in ([0], [0b101, 0b011, 0b110], [0b1001] * 2):
+        with pytest.raises(ParameterError, match="rank deficient"):
+            LinearCode(BitMatrix.from_rows(rows, 4))
 
 
 def _leader_brute(code):
@@ -366,9 +400,8 @@ def test_diagnostics_consistency():
 def test_validation_errors():
     code = sample_random_linear_code(10, 4, seed=0)
     with pytest.raises(ParameterError):
-        # the two parity-check rows coincide, so syndrome 0b10 is unreachable
-        LinearCode(n=3, k=1, G=BitMatrix.from_rows([0b111], 3),
-                   H=BitMatrix.from_rows([0b011, 0b011], 3))
+        # the two generator rows coincide, so G has rank 1, not 2
+        LinearCode(BitMatrix.from_rows([0b111, 0b111], 3))
     with pytest.raises(LengthMismatchError):
         syndromes(code, 1 << 10)
     with pytest.raises(ParameterError):
