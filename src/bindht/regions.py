@@ -409,7 +409,10 @@ _PAIR_CHUNK = 16384
 
 
 def _pair_rows(h, a, thetas, rate_x):
-    """one_sided_pair over parallel (a, theta) rows at one message rate."""
+    """one_sided_pair over parallel (a, theta, rate_x) rows.
+
+    rate_x is one message rate for all rows or a column of them.
+    """
     a, thetas = np.broadcast_arrays(
         np.asarray(a, float), np.asarray(thetas, float)
     )
@@ -437,18 +440,23 @@ def tradeoff_curve(scheme, h, rate, resolution=200, a_points=25,
     only, strictly between p0 and p1, so they need p0 < p1 and a gap
     wider than a few ulps; time sharing cannot improve them.  A request
     that would evaluate more than ``_MAX_CURVE_ROWS`` grid points is
-    refused.  Grid rows are evaluated ``_PAIR_CHUNK`` at a time, and
-    each alpha block is filtered together with the rows kept so far, so
-    memory stays within a block and the frontier.
+    refused.  Consecutive alpha blocks are joined into groups of at
+    least ``_PAIR_CHUNK`` rows (the last one may hold fewer), or one
+    block each where a block has that many.  A group's rows share
+    kernel calls, one chunk of ``_PAIR_CHUNK`` rows at a time, with the
+    message rate of each row in a column, and each group is filtered
+    together with the rows kept so far, so memory stays within a group
+    and the frontier.
     """
     if scheme not in SCHEMES:
         raise ParameterError(f"unknown scheme {scheme!r}")
     _check_rate(rate)
     if resolution < 2:
         raise ParameterError("resolution must be at least 2")
+    n_a = a_points if scheme == "one_sided" else 1
     rows = resolution
     if scheme in ("one_sided", "symmetric"):
-        rows *= alpha_points * (a_points if scheme == "one_sided" else 1)
+        rows *= alpha_points * n_a
     if rows > _MAX_CURVE_ROWS:
         raise ResourceLimitError(
             f"{scheme} curve would evaluate {rows} points, above the limit "
@@ -474,25 +482,32 @@ def tradeoff_curve(scheme, h, rate, resolution=200, a_points=25,
             e0[part], e1[part] = _reference_rows(h, thetas[part], share)
         zero, one = np.zeros(resolution), np.ones(resolution)
         return TradeoffCurve(scheme, rate, e0, e1, thetas, zero, one)
+    alphas = default_alpha_grid(rate, npts=alpha_points).tolist()
+    size = n_a * resolution  # rows per alpha block
+    per_group = -(-_PAIR_CHUNK // max(size, 1))  # blocks to fill a chunk
+    t = np.linspace(0.0, 1.0, resolution)
     front = np.empty((0, 5))
-    for alpha in default_alpha_grid(rate, npts=alpha_points):
-        alpha = float(alpha)
-        r_eff = min(rate / alpha, 1.0)
-        if scheme == "symmetric":
-            a_grid = np.zeros(1)
-        else:
-            a_grid = np.linspace(0.0, gv_distance(r_eff), a_points)
-        lo = _conv_vec(a_grid, h.p0)
-        hi = _conv_vec(a_grid, h.p1)
-        t = np.linspace(0.0, 1.0, resolution)
-        block = np.empty((a_grid.size * resolution, 5))
-        block[:, 2] = (lo[:, None] + t[None, :] * (hi - lo)[:, None]).ravel()
-        block[:, 3], block[:, 4] = np.repeat(a_grid, resolution), alpha
-        for start in range(0, len(block), _PAIR_CHUNK):
-            rows = block[start:start + _PAIR_CHUNK]
-            e0, e1 = _pair_rows(h, rows[:, 3], rows[:, 2], r_eff)
-            rows[:, 0], rows[:, 1] = alpha * e0, alpha * e1
-        front = _rising(np.concatenate([front, block]))
+    for first in range(0, len(alphas), per_group):
+        group_alphas = alphas[first:first + per_group]
+        group = np.empty((len(group_alphas) * size, 5))
+        for i, alpha in enumerate(group_alphas):
+            r_eff = min(rate / alpha, 1.0)
+            if scheme == "symmetric":
+                a_grid = np.zeros(1)
+            else:
+                a_grid = np.linspace(0.0, gv_distance(r_eff), a_points)
+            lo = _conv_vec(a_grid, h.p0)
+            hi = _conv_vec(a_grid, h.p1)
+            block = group[i * size:(i + 1) * size]
+            # column 0 holds the message rate until e0 replaces it
+            block[:, 0], block[:, 4] = r_eff, alpha
+            block[:, 2] = (lo[:, None] + t * (hi - lo)[:, None]).ravel()
+            block[:, 3] = np.repeat(a_grid, resolution)
+        for start in range(0, len(group), _PAIR_CHUNK):
+            rows = group[start:start + _PAIR_CHUNK]
+            e0, e1 = _pair_rows(h, rows[:, 3], rows[:, 2], rows[:, 0])
+            rows[:, 0], rows[:, 1] = rows[:, 4] * e0, rows[:, 4] * e1
+        front = _rising(np.concatenate([front, group]))
     front = pareto_points(front)
     return TradeoffCurve(scheme, rate, *front.T)
 

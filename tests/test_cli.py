@@ -461,7 +461,17 @@ def test_tradeoff_schema_and_grouping(capsys):
         assert all(b <= a + 1e-12 for a, b in zip(e1s, e1s[1:]))
 
 
+#: the command of the benchmark's frontier workload
+FRONTIER_ARGV = (
+    "tradeoff", "--preset", "fig3b", "--scheme", "one_sided",
+    "--scheme", "symmetric", "--resolution", "6",
+)
+
 _TABLE_GOLDEN = {
+    FRONTIER_ARGV: (
+        "55e920dd2223cb6825dd0a5416e696cce601702900b8dbe30ba60df9cadbc5b7",
+        "68742fc3db03cc02f518aeca5939f832467c9b1abb095f6538275bcb128cd6bc",
+    ),
     ("tradeoff", "--preset", "fig3a"): (
         "36f725496b79e47db6a36d4c63579a910da6eaf244a45337b5cfa8657a00db38",
         "716b1866135ddefb22c4009636a1daa66566e5594368f8c27d4bb39c503e58e7",
@@ -514,6 +524,19 @@ def test_tradeoff_rows_written_in_chunks(capsys, monkeypatch):
         for fmt, want in zip(("csv", "jsonl"), shas):
             code, out, _ = _run(capsys, *argv, "--format", fmt)
             assert code == 0 and _sha256(out) == want, (argv, fmt)
+
+
+def test_frontier_argv_makes_one_kernel_call_per_curve(capsys, monkeypatch):
+    # each curve's 1,950 or 78 grid rows fit one chunk of rows
+    calls = []
+
+    def spy(h, a, thetas, rate_x, _fn=bindht.regions._pair_rows):
+        calls.append(np.size(thetas))
+        return _fn(h, a, thetas, rate_x)
+
+    monkeypatch.setattr(bindht.regions, "_pair_rows", spy)
+    code, _, _ = _run(capsys, *FRONTIER_ARGV)
+    assert code == 0 and calls == [1950, 78]
 
 
 def test_tradeoff_zero_rate_baseline_is_zero(capsys):

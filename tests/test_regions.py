@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bindht.binmath import (
     _conv_vec,
@@ -624,16 +625,15 @@ def test_pareto_points_matches_object_scan(seed):
     assert pareto_points(front).tolist() == [list(q) for q in want]
 
 
-@pytest.mark.parametrize("scheme", ["one_sided", "symmetric"])
-@pytest.mark.parametrize("h", [FIG_A, FIG_B, HypothesisPair(0.0, 0.25)])
-def test_tradeoff_curve_matches_object_scan(scheme, h):
-    # every grid row of the curve, built as tradeoff_curve builds it
-    # and scaled as Python floats, through the reference scan
-    resolution, a_points, alpha_points = 40, 6, 5
+def _per_alpha_frontier(scheme, h, rate, resolution, a_points,
+                        alpha_points):
+    """Frontier rows (e0, e1, theta, a, alpha) of a coded curve, built
+    one alpha block at a time at one scalar message rate, scaled as
+    Python floats and passed through the reference scan."""
     rows = []
-    for alpha in default_alpha_grid(0.3, npts=alpha_points):
+    for alpha in default_alpha_grid(rate, npts=alpha_points):
         alpha = float(alpha)
-        r_eff = min(0.3 / alpha, 1.0)
+        r_eff = min(rate / alpha, 1.0)
         n_a = a_points if scheme == "one_sided" else 1
         a_grid = np.linspace(0.0, gv_distance(r_eff), n_a)
         lo, hi = _conv_vec(a_grid, h.p0), _conv_vec(a_grid, h.p1)
@@ -645,13 +645,56 @@ def test_tradeoff_curve_matches_object_scan(scheme, h):
             e0.tolist(), e1.tolist(), thetas.tolist(), a_rows.tolist()
         ):
             rows.append((alpha * x, alpha * y, th, a, alpha))
-    want = _scan_frontier(rows)
-    curve = tradeoff_curve(
-        scheme, h, 0.3, resolution=resolution, a_points=a_points,
-        alpha_points=alpha_points,
-    )
+    return _scan_frontier(rows)
+
+
+def _curve_rows(curve):
     cols = (curve.e0, curve.e1, curve.theta, curve.a, curve.alpha)
-    assert list(zip(*(c.tolist() for c in cols))) == want
+    return list(zip(*(c.tolist() for c in cols)))
+
+
+@pytest.mark.parametrize("scheme", ["one_sided", "symmetric"])
+@pytest.mark.parametrize("h", [FIG_A, FIG_B, HypothesisPair(0.0, 0.25)])
+def test_tradeoff_curve_matches_object_scan(scheme, h):
+    # every grid row of the curve through the reference scan
+    kw = dict(resolution=40, a_points=6, alpha_points=5)
+    want = _per_alpha_frontier(scheme, h, 0.3, **kw)
+    assert _curve_rows(tradeoff_curve(scheme, h, 0.3, **kw)) == want
+
+
+@st.composite
+def _curve_settings(draw):
+    p1 = draw(st.one_of(st.sampled_from([1e-3, 0.5]), st.floats(0.0, 0.5)))
+    p0 = draw(st.one_of(st.sampled_from([0.0, p1]), st.floats(0.0, p1)))
+    rate = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return dict(
+        h=HypothesisPair(p0, p1),
+        rate=rate,
+        resolution=draw(st.integers(2, 8)),
+        a_points=draw(st.integers(1, 6)),
+        alpha_points=draw(st.integers(1, 6)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(kw=_curve_settings(), chunk=st.integers(1, 64))
+def test_tradeoff_curve_fuzz_matches_per_alpha_blocks(kw, chunk):
+    # any chunking of the grid gives the per-alpha curve, with finite,
+    # non-negative exponents; the symmetric grid is the a = 0 part of
+    # the one-sided grid, so the one-sided frontier covers it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bindht.regions, "_PAIR_CHUNK", chunk)
+        curves = {
+            scheme: tradeoff_curve(scheme, **kw)
+            for scheme in ("one_sided", "symmetric")
+        }
+    for scheme, curve in curves.items():
+        assert _curve_rows(curve) == _per_alpha_frontier(scheme, **kw)
+        for e in (curve.e0, curve.e1):
+            assert np.isfinite(e).all() and (e >= 0.0).all()
+    one = curves["one_sided"]
+    for e0, e1 in zip(*curves["symmetric"].as_arrays()):
+        assert np.any((one.e0 >= e0) & (one.e1 >= e1 - 1e-15)), (e0, e1)
 
 
 def _ref_reference_curve(scheme, h, rate, resolution):
@@ -694,12 +737,46 @@ def test_reference_curve_matches_scalar_construction(scheme, h, rate):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_tradeoff_curve_row_chunks_match_one_call(monkeypatch, scheme):
+    # alpha blocks hold 240 one-sided or 40 symmetric rows: a chunk of 7
+    # splits a block, 40 fits one symmetric block, 239 ends one row short
+    # of a one-sided block and joins all symmetric blocks, 1000 joins
+    # four one-sided blocks with part of the fifth, 10**6 takes all
     kw = dict(resolution=40, a_points=6, alpha_points=5)
     whole = tradeoff_curve(scheme, FIG_B, 0.3, **kw)
-    monkeypatch.setattr(bindht.regions, "_PAIR_CHUNK", 7)
-    chunked = tradeoff_curve(scheme, FIG_B, 0.3, **kw)
-    for col in ("e0", "e1", "theta", "a", "alpha"):
-        assert getattr(chunked, col).tolist() == getattr(whole, col).tolist()
+    for chunk in (7, 40, 239, 1000, 10**6):
+        monkeypatch.setattr(bindht.regions, "_PAIR_CHUNK", chunk)
+        chunked = tradeoff_curve(scheme, FIG_B, 0.3, **kw)
+        for col in ("e0", "e1", "theta", "a", "alpha"):
+            got, want = getattr(chunked, col), getattr(whole, col)
+            assert got.tolist() == want.tolist(), (chunk, col)
+
+
+@pytest.mark.parametrize("scheme, chunk, calls, groups", [
+    ("one_sided", 1200, 1, 1),  # the whole grid fits one chunk
+    ("one_sided", 16384, 1, 1),
+    ("one_sided", 1199, 2, 1),  # five blocks in one group, two chunks
+    ("one_sided", 240, 5, 5),  # one block per group and chunk
+    ("one_sided", 100, 15, 5),  # one block per group, in three chunks
+    ("symmetric", 200, 1, 1),
+    ("symmetric", 16384, 1, 1),
+    ("symmetric", 90, 3, 2),  # three blocks in 90 + 30 rows, then two
+])
+def test_tradeoff_curve_kernel_calls(monkeypatch, scheme, chunk, calls,
+                                     groups):
+    # alpha blocks of 240 or 40 rows share _pair_rows calls, and the
+    # running filter runs once per group, not per chunk, then once in
+    # pareto_points
+    counts = {"_pair_rows": 0, "_rising": 0}
+    for name in counts:
+        def spy(*args, _name=name, _fn=getattr(bindht.regions, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(bindht.regions, name, spy)
+    monkeypatch.setattr(bindht.regions, "_PAIR_CHUNK", chunk)
+    tradeoff_curve(
+        scheme, FIG_B, 0.3, resolution=40, a_points=6, alpha_points=5
+    )
+    assert counts == {"_pair_rows": calls, "_rising": groups + 1}
 
 
 def test_pareto_points_nan_first_row_hides_nothing():
