@@ -210,15 +210,18 @@ def cmd_simulate(args):
     p0, p1, rate = _need(args, "p0", "p1", "rate")
     if args.threshold is None:
         raise ParameterError("--threshold is required for simulate")
+    if len(args.scheme or ()) > 1:
+        raise ParameterError("simulate runs one --scheme at a time")
     scheme = (args.scheme or ["one_sided"])[0]
-    if scheme not in ("one_sided", "korner_marton"):
-        raise ParameterError(f"cannot simulate scheme {scheme!r}")
     _check_rate(rate)
-    params = SchemeParams(a=args.a, theta=args.threshold, rate_x=rate)
+    # --a and --threshold fit the rate budget; the codes carry a and rate
+    SchemeParams(a=args.a, theta=args.threshold, rate_x=rate)
     cfg = SimConfig(
         n=args.n, trials=args.trials, seed=args.seed,
-        h=HypothesisPair(p0, p1), params=params, scheme=scheme,
+        h=HypothesisPair(p0, p1), theta=args.threshold,
     )
+    if scheme == "korner_marton" and args.a > 1e-12:
+        raise ParameterError("the symmetric scheme has no quantization step")
     rate_fine = 1.0 - binary_entropy(args.a)
     rate_coarse = rate_fine - rate
     if scheme == "one_sided":

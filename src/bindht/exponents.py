@@ -68,22 +68,6 @@ def _persp_db(x, alpha, p):
     return (xlogy(x, x / d_hit) + xlogy(rest, rest / d_miss)) / _LN2
 
 
-def _hyp_rate(r, w, g):
-    """Rate of the overlap g between independent types w and r.
-
-    h(r) - w h(g/w) - (1-w) h((r-g)/(1-w)) with the usual perspective
-    conventions at w in {0, 1}.
-    """
-    g = np.maximum(g, 0.0)
-    w_less = np.maximum(w - g, 0.0)
-    r_less = np.maximum(r - g, 0.0)
-    left = np.maximum(1.0 - w - r_less, 0.0)
-    h_r = _h_vec(r)
-    part_w = (xlogy(w, w) - xlogy(g, g) - xlogy(w_less, w_less)) / _LN2
-    part_c = (xlogy(1.0 - w, 1.0 - w) - xlogy(r_less, r_less) - xlogy(left, left)) / _LN2
-    return h_r - part_w - part_c
-
-
 def _ew_vec(p, alpha, beta, tau):
     """Closed-form weight-difference exponent, elementwise.
 
@@ -132,12 +116,12 @@ def _ew_vec(p, alpha, beta, tau):
 def _sphere_vec(p, r, w, tau, iters=20):
     """Sphere-hit exponent, elementwise over (r, w, tau).
 
-    min over the overlap g of _hyp_rate + weight-difference exponent of
-    the remaining Bernoulli flips; the objective is convex in g.  The
-    g-independent parts of the overlap rate are hoisted out of the
-    golden loop.  At p in {0, 1} no flip is random, so the target
-    weight forces the overlap and only its rate remains (+inf where
-    that overlap is infeasible).
+    min over the overlap g of the overlap rate h(r) - w h(g/w) - (1-w)
+    h((r-g)/(1-w)) plus the weight-difference exponent of the remaining
+    Bernoulli flips; the objective is convex in g.  The g-independent
+    part of the overlap rate is hoisted out of the golden loop.  At p in
+    {0, 1} no flip is random, so the target weight forces the overlap
+    and only its rate remains (+inf where that overlap is infeasible).
     """
     r, w, tau = np.broadcast_arrays(
         np.asarray(r, float), np.asarray(w, float), np.asarray(tau, float)
@@ -147,24 +131,28 @@ def _sphere_vec(p, r, w, tau, iters=20):
     # (r + w - 1 rounds); with w = 0 as well the overlap is forced.
     lo = np.maximum(0.0, r - one_w)
     hi = np.minimum(w, r)
-    if p == 0.0 or p == 1.0:
-        g = 0.5 * (w + r - (tau if p == 0.0 else 1.0 - tau))
-        feasible = (g >= lo - DOMAIN_TOL) & (g <= hi + DOMAIN_TOL)
-        rate = np.maximum(_hyp_rate(r, w, np.clip(g, lo, hi)), 0.0)
-        return np.where(feasible, rate, np.inf)
     fixed = _h_vec(r) - (xlogy(w, w) + xlogy(one_w, one_w)) / _LN2
 
-    def obj(g):
-        g = np.minimum(np.maximum(g, lo), hi)
+    def mix(g):
+        """The g-dependent part of the overlap rate, g in [lo, hi]."""
         w_less = np.maximum(w - g, 0.0)
         r_less = np.maximum(r - g, 0.0)
         left = np.maximum(one_w - r_less, 0.0)
-        mix = (
+        return (
             xlogy(g, g) + xlogy(w_less, w_less)
             + xlogy(r_less, r_less) + xlogy(left, left)
         ) / _LN2
+
+    if p == 0.0 or p == 1.0:
+        g = 0.5 * (w + r - (tau if p == 0.0 else 1.0 - tau))
+        feasible = (g >= lo - DOMAIN_TOL) & (g <= hi + DOMAIN_TOL)
+        rate = np.maximum(fixed + mix(np.clip(g, lo, hi)), 0.0)
+        return np.where(feasible, rate, np.inf)
+
+    def obj(g):
+        g = np.minimum(np.maximum(g, lo), hi)
         sig = np.minimum(np.maximum(w + r - 2.0 * g, 0.0), 1.0)
-        return mix + _ew_vec(p, 1.0 - sig, sig, tau - sig)
+        return mix(g) + _ew_vec(p, 1.0 - sig, sig, tau - sig)
 
     _, val = golden_min_vec(obj, lo, hi, iters=iters)
     return np.maximum(fixed + val, 0.0)

@@ -178,8 +178,11 @@ def sample_random_linear_code(n, k, seed=None):
     rng = np.random.default_rng(seed)
     for _ in range(_SAMPLE_TRIES):
         rows = [pack_bits(rng.integers(0, 2, size=n)) for _ in range(k)]
-        if len(_rref(rows, n)[0]) == k:
-            return LinearCode(BitMatrix.from_rows(rows, n))
+        g = BitMatrix.from_rows(rows, n)
+        try:
+            return LinearCode(g)
+        except ParameterError:  # with 1 <= k, only a rank-deficient G
+            continue
     raise SamplingFailureError(
         f"no full-rank {k}x{n} generator in {_SAMPLE_TRIES} draws"
     )

@@ -25,6 +25,9 @@ through c + (U + z): a table of exact counts per (weight of z, U + z)
 is built once per (n, na) over every (U, z) pair, regrouped by the
 resulting weight for each center, and then weighted by each requested
 p; the route stays exhaustive.
+
+The uncoded weight-threshold test lives here too; `simkit` decides by
+its acceptance rule, `_accept_weight`.
 """
 
 import functools
@@ -271,6 +274,12 @@ def enumerate_mixed_noise_pmf(n, a_count, w_count, p):
     return pmfs if np.ndim(p) else pmfs[0]
 
 
+def _accept_weight(n, theta):
+    """Largest integer weight the threshold test still decides as the
+    null: wt(z)/n <= theta, with exact multiples of 1/n accepted."""
+    return int(math.floor(n * theta + 1e-9))
+
+
 def np_exact_errors(n, p0, p1, theta):
     """Exact error pair of the weight-threshold test on n samples.
 
@@ -283,30 +292,20 @@ def np_exact_errors(n, p0, p1, theta):
 
 
 def np_exact_log2_errors(n, p0, p1, theta):
-    """Same test as np_exact_errors but returning log2 of each error."""
+    """Same test as np_exact_errors but returning log2 of each error.
+
+    Both errors are balls of the unquantized noise (na = 0): the false
+    alarm wt(z) > k is wt(c + z) <= n - k - 1 around the all-ones center
+    (empty when k = n), and the miss is the radius-k ball around 0.
+    """
     _check_threshold_test(n, p0, p1, theta)
-    k_acc = int(math.floor(n * theta + 1e-9))
-    l0 = _log2_binom_tail(n, p0, k_acc + 1, upper=True)
-    l1 = _log2_binom_tail(n, p1, k_acc, upper=False)
-    return l0, l1
+    k = _accept_weight(n, theta)
+    l0 = -math.inf if k == n else exact_ball_log2_prob(n, 0, n, n - k - 1, p0)
+    return l0, exact_ball_log2_prob(n, 0, 0, k, p1)
 
 
 def _check_threshold_test(n, p0, p1, theta):
-    _require_int("n", n)
-    if n < 1:
-        raise ParameterError(f"n={n} must be positive")
-    for name, p in (("p0", p0), ("p1", p1)):
-        if not (0.0 <= p <= 1.0):
-            raise ParameterError(f"{name}={p} outside [0, 1]")
-    if not (0.0 <= theta <= 1.0):
-        raise ParameterError(f"theta={theta} outside [0, 1]")
-
-
-def _log2_binom_tail(n, p, k_edge, upper):
-    """log2 P(Bin >= k_edge) if upper else log2 P(Bin <= k_edge)."""
-    ks = np.arange(k_edge, n + 1) if upper else np.arange(0, k_edge + 1)
-    if len(ks) == 0:
-        return -math.inf
-    log_tail = _logsumexp(_log_binom_pmf(n, p)[ks])
-    # rounding can put a full tail a few ulps above 1, as for the ball
-    return min(0.0, float(log_tail / math.log(2.0)))
+    _check_query(n, 0, 0, 0, 0.0)
+    for name, v in (("p0", p0), ("p1", p1), ("theta", theta)):
+        if not (0.0 <= v <= 1.0):
+            raise ParameterError(f"{name}={v} outside [0, 1]")

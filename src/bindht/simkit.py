@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
 from .gf2 import _popcount64, coset_table, quantize, syndromes
-from .regions import HypothesisPair, SchemeParams
+from .oracle import _accept_weight
+from .regions import HypothesisPair
 
 _SCHEME_IDS = {"one_sided": 0, "korner_marton": 1}
 
@@ -69,14 +70,14 @@ class TrialRecords:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation run: `trials` blocks per hypothesis."""
+    """One simulation run: `trials` blocks per hypothesis, decided by
+    the weight threshold theta.  The codes fix the rest of the scheme."""
 
     n: int
     trials: int
     seed: int
     h: HypothesisPair
-    params: SchemeParams
-    scheme: str = "one_sided"
+    theta: float
 
     def __post_init__(self):
         if not (1 <= self.n <= 64):
@@ -90,10 +91,8 @@ class SimConfig:
             )
         if self.seed < 0:
             raise ParameterError(f"seed={self.seed} must be nonnegative")
-        if self.scheme not in _SCHEME_IDS:
-            raise ParameterError(
-                f"scheme {self.scheme!r} not in {sorted(_SCHEME_IDS)}"
-            )
+        if not (0.0 <= self.theta <= 1.0):
+            raise ParameterError(f"theta={self.theta} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -145,9 +144,9 @@ def _draw_words(rng, rows, n, p):
     return words[:, 0], words[:, 1]
 
 
-def _draw_run(cfg, hyp, p):
+def _draw_run(cfg, scheme_id, hyp, p):
     """(X, Z) word arrays for one hypothesis from its own stream."""
-    key = np.random.SeedSequence((cfg.seed, _SCHEME_IDS[cfg.scheme], hyp))
+    key = np.random.SeedSequence((cfg.seed, scheme_id, hyp))
     rng = np.random.Generator(np.random.Philox(key))
     x = np.empty(cfg.trials, dtype=np.uint64)
     z = np.empty(cfg.trials, dtype=np.uint64)
@@ -157,18 +156,17 @@ def _draw_run(cfg, hyp, p):
     return x, z
 
 
-def _accept_weight(n, theta):
-    """Largest integer weight still decided as the null."""
-    return int(math.floor(n * theta + 1e-9))
-
-
-def _run(cfg, code, residual):
-    """Records of both hypotheses, nulls first.  Each trial coset-decodes
-    the word residual(x, z) of its (X, Z) words in `code`."""
+def _run(cfg, scheme_id, code, residual):
+    """Records of both hypotheses, nulls first, drawn from the streams
+    of scheme `scheme_id`.  Each trial coset-decodes the word
+    residual(x, z) of its (X, Z) words in `code`, and the decision is
+    the threshold test of `oracle`."""
+    if code.n != cfg.n:
+        raise ParameterError(f"code blocklength {code.n} != config n {cfg.n}")
     table = coset_table(code)
     chunks = []
     for h, p in ((0, cfg.h.p0), (1, cfg.h.p1)):
-        x, z = _draw_run(cfg, h, p)
+        x, z = _draw_run(cfg, scheme_id, h, p)
         for lo in range(0, cfg.trials, _CHUNK):
             zc = z[lo:lo + _CHUNK]
             err, w_hat = _decode(code, table, residual(x[lo:lo + _CHUNK], zc))
@@ -178,7 +176,7 @@ def _run(cfg, code, residual):
         n=cfg.n,
         hypothesis=np.repeat(np.arange(2, dtype=np.uint8), cfg.trials),
         bin_error=bin_err,
-        decided=decoded_w > _accept_weight(cfg.n, cfg.params.theta),
+        decided=decoded_w > _accept_weight(cfg.n, cfg.theta),
         noise_weight=noise_w,
         decoded_weight=decoded_w,
     )
@@ -202,15 +200,9 @@ def run_one_sided(cfg, nested):
     distance between Y and that estimate.  Returns the records of both
     hypotheses, nulls first.
     """
-    if cfg.scheme != "one_sided":
-        raise ParameterError(f"config is for scheme {cfg.scheme!r}")
-    if nested.fine.n != cfg.n:
-        raise ParameterError(
-            f"code blocklength {nested.fine.n} != config n {cfg.n}"
-        )
     # `_run` reads the coarse table first; it is the larger one (k2 <= k1),
     # so that also checks the size bound of the fine table `quantize` reads
-    return _run(cfg, nested.coarse,
+    return _run(cfg, _SCHEME_IDS["one_sided"], nested.coarse,
                 lambda x, z: x ^ z ^ quantize(nested.fine, x))
 
 
@@ -219,16 +211,9 @@ def run_korner_marton(cfg, code):
 
     Both terminals send the syndrome of their observation; the decision
     function decodes the noise word from the syndrome sum and thresholds
-    its weight.  Quantization is not part of this scheme, so the config
-    must have a = 0.
+    its weight.  Quantization is not part of this scheme.
     """
-    if cfg.scheme != "korner_marton":
-        raise ParameterError(f"config is for scheme {cfg.scheme!r}")
-    if code.n != cfg.n:
-        raise ParameterError(f"code blocklength {code.n} != config n {cfg.n}")
-    if cfg.params.a > 1e-12:
-        raise ParameterError("the symmetric scheme has no quantization step")
-    return _run(cfg, code, lambda x, z: z)
+    return _run(cfg, _SCHEME_IDS["korner_marton"], code, lambda x, z: z)
 
 
 def decoded_weights(records, hypothesis):

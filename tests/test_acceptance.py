@@ -183,18 +183,13 @@ def test_criterion_08_simulation_consistency():
     # the threshold's covering requirement so both error rates shrink
     start = time.perf_counter()
     h = HypothesisPair(0.01, 0.25)
-    params = SchemeParams(a=0.0, theta=0.1, rate_x=0.6)
     trials = 100_000
     ests = {"one_sided": {}, "korner_marton": {}}
     for n in (15, 23, 31):
         nested = build_nested(n, 1.0, 0.4, seed=0)
-        cfg = SimConfig(n=n, trials=trials, seed=0, h=h, params=params)
+        cfg = SimConfig(n=n, trials=trials, seed=0, h=h, theta=0.1)
         rec_q = run_one_sided(cfg, nested)
-        cfg_km = SimConfig(
-            n=n, trials=trials, seed=0, h=h, params=params,
-            scheme="korner_marton",
-        )
-        rec_km = run_korner_marton(cfg_km, nested.coarse)
+        rec_km = run_korner_marton(cfg, nested.coarse)
         ests["one_sided"][n] = estimate_errors(rec_q)
         ests["korner_marton"][n] = estimate_errors(rec_km)
 

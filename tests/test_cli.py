@@ -725,6 +725,28 @@ def test_simulate_korner_marton_rejects_quantization(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_simulate_korner_marton_names_the_quantization_refusal(capsys):
+    code, out, err = _run(
+        capsys, "simulate", "--preset", "fig3a", "--threshold", "0.1",
+        "--n", "10", "--trials", "10", "--scheme", "korner_marton",
+        "--a", "0.05",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: the symmetric scheme has no quantization step\n"
+
+
+@pytest.mark.parametrize("second", ["korner_marton", "one_sided"])
+def test_simulate_refuses_a_second_scheme(capsys, second):
+    # one run simulates one scheme; a second --scheme used to be dropped
+    code, out, err = _run(
+        capsys, "simulate", "--preset", "fig3a", "--threshold", "0.1",
+        "--n", "10", "--trials", "10", "--scheme", "one_sided",
+        "--scheme", second,
+    )
+    assert code == 2 and out == ""
+    assert err == "error: simulate runs one --scheme at a time\n"
+
+
 def test_output_write_failure(tmp_path, capsys):
     code, _, err = _run(
         capsys, "exponents", "--preset", "fig2a", "--p0", "0.01",

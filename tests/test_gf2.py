@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import bindht.gf2
 from bindht.binmath import gv_distance
 from bindht.errors import (
     LengthMismatchError,
@@ -395,6 +396,39 @@ def test_diagnostics_consistency():
     assert min(nonzero) == round(diag.min_distance_norm * 18)
     _, weights = coset_table(code)
     assert int(weights.max()) == round(diag.covering_radius_norm * 18)
+
+
+def _span_size(rows):
+    span = {0}
+    for g in rows:
+        span |= {w ^ g for w in span}
+    return len(span)
+
+
+def test_sample_code_takes_first_full_rank_draw(monkeypatch):
+    # at n = k = 4 about 2/3 of the draws are rank deficient; the code
+    # is the first full-rank draw of the seed's stream, and each draw is
+    # eliminated once, by LinearCode itself
+    calls = []
+    rref = bindht.gf2._rref
+
+    def counted(rows, cols):
+        calls.append(rows)
+        return rref(rows, cols)
+
+    monkeypatch.setattr(bindht.gf2, "_rref", counted)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        draws = 0
+        while True:
+            draws += 1
+            rows = [pack_bits(rng.integers(0, 2, size=4)) for _ in range(4)]
+            if _span_size(rows) == 16:
+                break
+        calls.clear()
+        code = sample_random_linear_code(4, 4, seed=seed)
+        assert code.G.bits == tuple(rows)
+        assert len(calls) == draws
 
 
 def test_validation_errors():

@@ -353,6 +353,10 @@ def _fraction_errors(n, p0, p1, theta):
 @pytest.mark.parametrize("args", [
     (64, 0.05, 0.45, 0.02), (60, 0.01, 0.3, 0.01), (23, 0.01, 0.25, 0.1),
     (50, 0.1, 0.3, 0.18), (100, 0.2, 0.35, 0.27), (200, 0.05, 0.2, 0.1),
+    # edges: theta at 0 and 1, p0 = 0, p1 = 1, a single sample
+    (10, 0.1, 0.3, 0.0), (10, 0.1, 0.3, 1.0), (12, 0.0, 0.3, 0.25),
+    (12, 0.1, 1.0, 0.25), (5, 0.0, 1.0, 1.0), (1, 0.2, 0.7, 0.0),
+    (1, 0.2, 0.7, 1.0), (1, 0.0, 1.0, 0.5),
 ])
 def test_np_exact_errors_against_fractions(args):
     # the miss probability used to be 1 - upper tail: -2.22e-15 against

@@ -15,7 +15,7 @@ from scipy.stats import binomtest
 from bindht.binmath import binary_entropy
 from bindht.gf2 import build_nested, coset_table, sample_random_linear_code
 from bindht.errors import ParameterError, ResourceLimitError
-from bindht.regions import HypothesisPair, SchemeParams
+from bindht.regions import HypothesisPair
 import bindht.simkit
 from bindht.simkit import (
     _MAX_TRIALS,
@@ -86,15 +86,12 @@ def test_accept_weight_convention(n, theta, want):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"n": 0}, {"n": 65}, {"trials": 0}, {"seed": -1}, {"scheme": "mystery"},
+        {"n": 0}, {"n": 65}, {"trials": 0}, {"seed": -1}, {"theta": 1.5},
+        {"theta": -0.1},
     ],
 )
 def test_config_validation(kwargs):
-    base = dict(
-        n=12, trials=10, seed=0,
-        h=HypothesisPair(0.1, 0.3),
-        params=SchemeParams(a=0.0, theta=0.2, rate_x=0.5),
-    )
+    base = dict(n=12, trials=10, seed=0, h=HypothesisPair(0.1, 0.3), theta=0.2)
     base.update(kwargs)
     with pytest.raises(ParameterError):
         SimConfig(**base)
@@ -102,21 +99,15 @@ def test_config_validation(kwargs):
 
 def test_config_bounds_trials():
     # a huge request fails when the config is built, before any drawing
-    base = dict(
-        n=12, seed=0,
-        h=HypothesisPair(0.1, 0.3),
-        params=SchemeParams(a=0.0, theta=0.2, rate_x=0.5),
-    )
+    base = dict(n=12, seed=0, h=HypothesisPair(0.1, 0.3), theta=0.2)
     assert SimConfig(trials=_MAX_TRIALS, **base).trials == _MAX_TRIALS
     with pytest.raises(ResourceLimitError):
         SimConfig(trials=_MAX_TRIALS + 1, **base)
 
 
-def _one_sided_cfg(trials=200, seed=0):
+def _cfg(trials=200, seed=0):
     return SimConfig(
-        n=10, trials=trials, seed=seed,
-        h=HypothesisPair(0.1, 0.35),
-        params=SchemeParams(a=0.0, theta=0.2, rate_x=0.5),
+        n=10, trials=trials, seed=seed, h=HypothesisPair(0.1, 0.35), theta=0.2,
     )
 
 
@@ -133,15 +124,11 @@ def _same_records(a, b):
     )
 
 
-def _km_cfg(trials=200, seed=0):
-    return replace(_one_sided_cfg(trials, seed), scheme="korner_marton")
-
-
 def test_run_one_sided_deterministic():
     nested = build_nested(10, 1.0, 0.5, seed=0)
-    cfg = _one_sided_cfg()
+    cfg = _cfg()
     assert _same_records(run_one_sided(cfg, nested), run_one_sided(cfg, nested))
-    other = run_one_sided(_one_sided_cfg(seed=1), nested)
+    other = run_one_sided(_cfg(seed=1), nested)
     assert not _same_records(other, run_one_sided(cfg, nested))
 
 
@@ -149,8 +136,8 @@ def test_schemes_use_separate_streams():
     # same seed, different scheme id: the noise draws must not coincide
     nested = build_nested(10, 1.0, 0.5, seed=0)
     code = sample_random_linear_code(10, 5, seed=0)
-    wq = run_one_sided(_one_sided_cfg(), nested).noise_weight
-    wkm = run_korner_marton(_km_cfg(), code).noise_weight
+    wq = run_one_sided(_cfg(), nested).noise_weight
+    wkm = run_korner_marton(_cfg(), code).noise_weight
     assert not np.array_equal(wq, wkm)
 
 
@@ -160,8 +147,8 @@ def test_draw_run_matches_gen_dsbs_loop(monkeypatch, scheme, hyp, p):
     # chunks of 128 trials, the last one partial, read the same stream
     # as one gen_dsbs call per trial on a shared generator
     monkeypatch.setattr(bindht.simkit, "_CHUNK", 128)
-    cfg = replace(_one_sided_cfg(trials=300, seed=4), n=27, scheme=scheme)
-    x, z = _draw_run(cfg, hyp, p)
+    cfg = replace(_cfg(trials=300, seed=4), n=27)
+    x, z = _draw_run(cfg, _SCHEME_IDS[scheme], hyp, p)
     key = np.random.SeedSequence((4, _SCHEME_IDS[scheme], hyp))
     rng = np.random.Generator(np.random.Philox(key))
     for t in range(cfg.trials):
@@ -172,8 +159,8 @@ def test_draw_run_matches_gen_dsbs_loop(monkeypatch, scheme, hyp, p):
 def test_records_independent_of_chunk_size(monkeypatch):
     nested = build_nested(10, 1.0, 0.5, seed=0)
     code = sample_random_linear_code(10, 5, seed=0)
-    runs = ((run_one_sided, _one_sided_cfg(), nested),
-            (run_korner_marton, _km_cfg(), code))
+    runs = ((run_one_sided, _cfg(), nested),
+            (run_korner_marton, _cfg(), code))
     wants = [run(cfg, decode_code) for run, cfg, decode_code in runs]
     for chunk in (7, 201):  # 201 exceeds the 200 trials
         monkeypatch.setattr(bindht.simkit, "_CHUNK", chunk)
@@ -182,22 +169,22 @@ def test_records_independent_of_chunk_size(monkeypatch):
 
 
 def test_hypotheses_and_schemes_draw_different_words():
-    cfg_q, cfg_km = _one_sided_cfg(), _km_cfg()
+    cfg = _cfg()
     words = [
-        _draw_run(cfg, hyp, 0.1)[0].tobytes()
-        for cfg in (cfg_q, cfg_km) for hyp in (0, 1)
+        _draw_run(cfg, scheme_id, hyp, 0.1)[0].tobytes()
+        for scheme_id in _SCHEME_IDS.values() for hyp in (0, 1)
     ]
     assert len(set(words)) == 4
 
 
 def test_record_invariants():
     nested = build_nested(10, 1.0, 0.5, seed=0)
-    cfg = _one_sided_cfg(trials=300)
+    cfg = _cfg(trials=300)
     records = run_one_sided(cfg, nested)
     assert len(records) == 2 * cfg.trials
     assert records.hypothesis[:300].tolist() == [0] * 300
     assert records.hypothesis[300:].tolist() == [1] * 300
-    k_acc = _accept_weight(cfg.n, cfg.params.theta)
+    k_acc = _accept_weight(cfg.n, cfg.theta)
     cover = int(coset_table(nested.coarse)[1].max())
     w = records.decoded_weight.astype(int)
     assert (records.decided == (w > k_acc)).all()
@@ -208,7 +195,7 @@ def test_unquantized_decoding_never_inflates_weight():
     # with a = 0 the decoded word sits in the noise coset, so its weight
     # is bounded by the true noise weight on every single trial
     nested = build_nested(10, 1.0, 0.5, seed=0)
-    records = run_one_sided(_one_sided_cfg(trials=500), nested)
+    records = run_one_sided(_cfg(trials=500), nested)
     assert (records.decoded_weight <= records.noise_weight).all()
     # consequently coding can only shrink the false-alarm rate
     k_acc = _accept_weight(10, 0.2)
@@ -233,12 +220,11 @@ def test_monte_carlo_matches_enumeration():
     nested = build_nested(10, 1.0, 0.5, seed=0)
     code = sample_random_linear_code(10, 5, seed=3)
     trials = 4000
-    cfg_q = _one_sided_cfg(trials=trials)
-    cfg_km = _km_cfg(trials=trials)
+    cfg = _cfg(trials=trials)
     k_acc = _accept_weight(10, 0.2)
     runs = (
-        (run_one_sided(cfg_q, nested), nested.coarse),
-        (run_korner_marton(cfg_km, code), code),
+        (run_one_sided(cfg, nested), nested.coarse),
+        (run_korner_marton(cfg, code), code),
     )
     for records, decode_code in runs:
         est = estimate_errors(records)
@@ -266,13 +252,13 @@ def _closest(target, members, n):
     return min(members, key=key)
 
 
-def _brute_records(cfg, decode):
+def _brute_records(cfg, scheme, decode):
     """Record columns per trial from decode(x, y) -> (estimate, truth),
     the far terminal's word and the one it should have found."""
-    k_acc = _accept_weight(cfg.n, cfg.params.theta)
+    k_acc = _accept_weight(cfg.n, cfg.theta)
     cols = []
     for hyp, p in ((0, cfg.h.p0), (1, cfg.h.p1)):
-        xs, zs = _draw_run(cfg, hyp, p)
+        xs, zs = _draw_run(cfg, _SCHEME_IDS[scheme], hyp, p)
         for x, z in zip(xs.tolist(), zs.tolist()):
             y = x ^ z
             est, truth = decode(x, y)
@@ -294,8 +280,7 @@ def test_one_sided_matches_per_trial_brute_force():
     n, a = 12, 0.1
     rate_fine = 1.0 - binary_entropy(a)
     nested = build_nested(n, rate_fine, rate_fine - 0.3, seed=2)
-    cfg = replace(_one_sided_cfg(trials=150, seed=6), n=n,
-                  params=SchemeParams(a=a, theta=0.25, rate_x=0.3))
+    cfg = replace(_cfg(trials=150, seed=6), n=n, theta=0.25)
     fine = _span(nested.fine.G.bits)
     coarse = _span(nested.coarse.G.bits)
 
@@ -304,7 +289,7 @@ def test_one_sided_matches_per_trial_brute_force():
         return _closest(y, [u ^ c for c in coarse], n), u
 
     records = run_one_sided(cfg, nested)
-    want = _brute_records(cfg, decode)
+    want = _brute_records(cfg, "one_sided", decode)
     _assert_columns(records, want)
     assert want[0].any() and want[1].any()
 
@@ -314,8 +299,7 @@ def test_korner_marton_matches_per_trial_brute_force():
     # estimate of Y's partner word is Y minus it
     n = 12
     code = sample_random_linear_code(n, 6, seed=8)
-    cfg = _km_cfg(trials=150, seed=3)
-    cfg = replace(cfg, n=n, params=replace(cfg.params, theta=0.25))
+    cfg = replace(_cfg(trials=150, seed=3), n=n, theta=0.25)
     cws = _span(code.G.bits)
 
     def decode(x, y):
@@ -323,48 +307,24 @@ def test_korner_marton_matches_per_trial_brute_force():
         return y ^ z_hat, x
 
     records = run_korner_marton(cfg, code)
-    want = _brute_records(cfg, decode)
+    want = _brute_records(cfg, "korner_marton", decode)
     _assert_columns(records, want)
     assert want[0].any() and want[1].any()
 
 
-def test_korner_marton_rejects_quantization():
-    code = sample_random_linear_code(10, 5, seed=0)
-    cfg = SimConfig(
-        n=10, trials=5, seed=0,
-        h=HypothesisPair(0.1, 0.3),
-        params=SchemeParams(a=0.2, theta=0.2, rate_x=0.2),
-        scheme="korner_marton",
-    )
-    with pytest.raises(ParameterError):
-        run_korner_marton(cfg, code)
-
-
 def test_runner_config_mismatches():
-    nested = build_nested(10, 1.0, 0.5, seed=0)
-    code = sample_random_linear_code(10, 5, seed=0)
-    cfg = _one_sided_cfg(trials=5)
-    km_cfg = SimConfig(
-        n=10, trials=5, seed=0, h=cfg.h, params=cfg.params,
-        scheme="korner_marton",
-    )
-    with pytest.raises(ParameterError):
-        run_one_sided(km_cfg, nested)
-    with pytest.raises(ParameterError):
-        run_korner_marton(cfg, code)
+    cfg = _cfg(trials=5)
     short = build_nested(8, 1.0, 0.5, seed=0)
-    with pytest.raises(ParameterError):
-        run_one_sided(
-            SimConfig(n=10, trials=5, seed=0, h=cfg.h, params=cfg.params),
-            short,
-        )
-    with pytest.raises(ParameterError):
-        run_korner_marton(km_cfg, sample_random_linear_code(8, 4, seed=0))
+    mismatch = "code blocklength 8 != config n 10"
+    with pytest.raises(ParameterError, match=mismatch):
+        run_one_sided(cfg, short)
+    with pytest.raises(ParameterError, match=mismatch):
+        run_korner_marton(cfg, sample_random_linear_code(8, 4, seed=0))
 
 
 def test_decoded_weights_filters_by_hypothesis():
     nested = build_nested(10, 1.0, 0.5, seed=0)
-    cfg = _one_sided_cfg(trials=50)
+    cfg = _cfg(trials=50)
     records = run_one_sided(cfg, nested)
     w0 = decoded_weights(records, 0)
     w1 = decoded_weights(records, 1)
