@@ -313,18 +313,17 @@ def _check_scheme_equality():
 def _check_enumeration_equality():
     ps = (0.1, 0.25, 0.4)
     for n in range(1, 13):
+        nws = range(n + 1)
         for na in range(n + 1):
-            for nw in range(n + 1):
-                brutes = enumerate_mixed_noise_pmf(n, na, nw, ps)
-                fasts = np.array(
-                    [exact_mixed_noise_pmf_vector(n, na, nw, p) for p in ps]
-                )
-                budget = 1e-12 * np.maximum(brutes, 1e-300)
-                bad = np.abs(fasts - brutes) > budget
-                if bad.any():
-                    # row-major: the first p with a mismatch, then its nt
-                    nt = int(np.argmax(bad)) % (n + 1)
-                    return f"pmf mismatch n={n} na={na} nw={nw} nt={nt}"
+            brutes = enumerate_mixed_noise_pmf(n, na, nws, ps)
+            fasts = exact_mixed_noise_pmf_vector(n, na, nws, ps)
+            budget = 1e-12 * np.maximum(brutes, 1e-300)
+            bad = np.abs(fasts - brutes) > budget
+            if bad.any():
+                # row-major over (nw, p, nt): the first nw with a
+                # mismatch, then its first p, then that p's first nt
+                nw, _, nt = np.unravel_index(np.argmax(bad), bad.shape)
+                return f"pmf mismatch n={n} na={na} nw={nw} nt={nt}"
     return None
 
 

@@ -415,12 +415,20 @@ def build_nested(n, rate_fine, rate_coarse, seed=None):
     rng = np.random.default_rng(seed)
     coarse = sample_random_linear_code(n, k2, rng)
     rows = list(coarse.G.bits)
+    # a basis of span(rows) in which no row holds the pivot (lowest set
+    # bit) of a row before it, so one pass in order reduces v
+    basis = _rref(rows, n)[0]
     for _ in range(_SAMPLE_TRIES):
         if len(rows) == k1:
             break
         v = pack_bits(rng.integers(0, 2, size=n))
-        if len(_rref(rows + [v], n)[0]) == len(rows) + 1:
+        r = v
+        for e in basis:
+            if r & e & -e:
+                r ^= e
+        if r:  # v is outside the span: keep it, and r joins the basis
             rows.insert(0, v)
+            basis.append(r)
     if len(rows) != k1:
         raise SamplingFailureError(f"could not extend to k1={k1} at n={n}")
     fine = LinearCode(BitMatrix.from_rows(rows, n))

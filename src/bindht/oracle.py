@@ -22,9 +22,10 @@ all 2^n patterns, accumulating exact integer counts per (weight of z,
 resulting weight) cell, and only converts to float at the very end.
 That count table does not depend on p, and the center enters only
 through c + (U + z): a table of exact counts per (weight of z, U + z)
-is built once per (n, na) over every (U, z) pair, regrouped by the
-resulting weight for each center, and then weighted by each requested
-p; the route stays exhaustive.
+is built once per (n, na) over every (U, z) pair, its nonzero cells
+regrouped by the resulting weight for each center, and then weighted
+by each p; the route stays exhaustive.  Both pmf routes take nw and p
+each as a scalar or 1-D, so one call covers an (n, na) block.
 
 The uncoded weight-threshold test lives here too; `simkit` decides by
 its acceptance rule, `_accept_weight`.
@@ -48,20 +49,46 @@ _ENUM_BLOCK = 1 << 17
 _LOG_FACT = np.zeros(1)
 
 
-def _check_query(n, a_count, w_count, t_count, p):
-    """Refuse a point query: blocklength n, counts na/nw/nt in [0, n]
-    (integers of any integer type), crossover p in [0, 1]."""
-    counts = {"a_count": a_count, "w_count": w_count, "t_count": t_count}
+def _check_query(n, a_count, w_counts, t_count, ps):
+    """Refuse a query: blocklength n, counts na/nw/nt in [0, n]
+    (integers of any integer type), crossovers p in [0, 1]; nw and p
+    are lists, each entry checked as a scalar."""
+    counts = [
+        ("a_count", a_count), *(("w_count", v) for v in w_counts),
+        ("t_count", t_count),
+    ]
     _require_int("n", n)
-    for name, v in counts.items():
+    for name, v in counts:
         _require_int(name, v)
     if n < 1:
         raise ParameterError(f"n={n} must be positive")
-    for name, v in counts.items():
+    for name, v in counts:
         if not (0 <= v <= n):
             raise ParameterError(f"{name}={v} outside [0, {n}]")
-    if not (0.0 <= p <= 1.0):
-        raise ParameterError(f"p={p} outside [0, 1]")
+    for p in ps:
+        if not (0.0 <= p <= 1.0):
+            raise ParameterError(f"p={p} outside [0, 1]")
+
+
+def _pmf_query(n, a_count, w_count, p):
+    """Check a pmf call, w_count and p each a scalar or 1-D; returns n,
+    na and the nw entries as ints, and the p entries."""
+    for name, v in (("w_count", w_count), ("p", p)):
+        if np.ndim(v) > 1:
+            raise ParameterError(
+                f"{name} must be a scalar or 1-D, got {np.shape(v)}"
+            )
+    ws, ps = [list(v) if np.ndim(v) else [v] for v in (w_count, p)]
+    _check_query(n, a_count, ws, 0, ps)
+    return (
+        operator.index(n), operator.index(a_count),
+        [operator.index(w) for w in ws], ps,
+    )
+
+
+def _squeeze(out, w_count, p):
+    """Drop the leading axis a scalar w_count or p adds."""
+    return out[tuple(slice(None) if np.ndim(v) else 0 for v in (w_count, p))]
 
 
 def _require_int(name, v):
@@ -98,9 +125,10 @@ def _log_hyp_weights(n, na, nw):
     return ms, logs
 
 
-def _log_binom_pmf(k, p):
-    """Log-pmf vector of Bin(k, p) over 0..k; a point mass if p is 0 or 1."""
-    js = np.arange(k + 1)
+def _log_binom_pmf(k, p, top=None):
+    """Log-pmf vector of Bin(k, p) over 0..top (default k); a point mass
+    if p is 0 or 1."""
+    js = np.arange((k if top is None else top) + 1)
     if p == 0.0 or p == 1.0:
         return np.where(js == (0 if p == 0.0 else k), 0.0, -math.inf)
     return _log_comb(k, js) + js * math.log(p) + (k - js) * math.log1p(-p)
@@ -142,6 +170,7 @@ def _log_mixture(n, na, nw, nt, p, ball):
 
     For each overlap m the weight is nt when W2 = j and W1 = j + d,
     d = nt - s; the ball reads the CDF of W1 there, clipped at n - s.
+    As j <= s, only W1's prefix 0..min(n - s, nt) is read and built.
     """
     ms, log_hyp = _log_hyp_weights(n, na, nw)
     terms = np.full(len(ms), -math.inf)
@@ -151,7 +180,7 @@ def _log_mixture(n, na, nw, nt, p, ball):
         js = np.arange(max(0, -d), (s if ball else min(s, n - s - d)) + 1)
         if len(js) == 0:
             continue
-        lw1 = _log_binom_pmf(n - s, p)
+        lw1 = _log_binom_pmf(n - s, p, min(n - s, nt))
         if ball:
             lw1 = np.logaddexp.accumulate(lw1)
         idx = np.minimum(js + d, n - s)
@@ -161,7 +190,7 @@ def _log_mixture(n, na, nw, nt, p, ball):
 
 def exact_mixed_noise_pmf(n, a_count, w_count, t_count, p):
     """P(wt(c + U + Z) = t_count), exactly."""
-    _check_query(n, a_count, w_count, t_count, p)
+    _check_query(n, a_count, [w_count], t_count, [p])
     return float(math.exp(
         _log_mixture(n, a_count, w_count, t_count, p, ball=False)
     ))
@@ -170,22 +199,34 @@ def exact_mixed_noise_pmf(n, a_count, w_count, t_count, p):
 def exact_mixed_noise_pmf_vector(n, a_count, w_count, p):
     """Full pmf over resulting weights 0..n (blocklength-limited).
 
+    w_count and p are each a scalar or 1-D; each 1-D one adds a leading
+    axis, w before p, and entry [i, k] is the call with (w[i], p[k]),
+    bit for bit: each shift's weight times its kernel row is added in
+    turn, and a shift a center cannot reach adds an exact 0 to its row.
     At p in {0, 1} the kernel rows are point masses (0.0 ** 0 is 1).
     """
-    _check_query(n, a_count, w_count, 0, p)
+    n, na, ws, ps = _pmf_query(n, a_count, w_count, p)
     if n > 64:
         raise ResourceLimitError(f"pmf vector limited to n <= 64, got {n}")
-    na, nw = a_count, w_count
     denom = math.comb(n, na)
-    ms = range(*_overlap_range(n, na, nw))
-    hyp = [math.comb(nw, m) * math.comb(n - nw, na - m) / denom for m in ms]
-    shifts = [nw + na - 2 * m for m in ms]
-    return np.array(hyp) @ _shift_kernel(n, float(p))[shifts]
+    hyp = np.zeros((len(ws), n + 1))
+    for i, nw in enumerate(ws):
+        for m in range(*_overlap_range(n, na, nw)):
+            hyp[i, nw + na - 2 * m] = (
+                math.comb(nw, m) * math.comb(n - nw, na - m) / denom
+            )
+    kernels = np.array(
+        [_shift_kernel(n, float(q)) for q in ps]
+    ).reshape(len(ps), n + 1, n + 1)
+    out = np.zeros((len(ws), len(ps), n + 1))
+    for s in np.flatnonzero(hyp.any(axis=0))[::-1]:
+        out += hyp[:, s, None, None] * kernels[:, s]
+    return _squeeze(out, w_count, p)
 
 
 def exact_ball_log2_prob(n, a_count, w_count, t_count, p):
     """log2 P(wt(c + U + Z) <= t_count), stable for large n."""
-    _check_query(n, a_count, w_count, t_count, p)
+    _check_query(n, a_count, [w_count], t_count, [p])
     log_prob = _log_mixture(n, a_count, w_count, t_count, p, ball=True)
     # rounding can put a near-full ball a few ulps above 1
     return min(0.0, float(log_prob / math.log(2.0)))
@@ -209,8 +250,8 @@ def _xor_counts(n, a_count):
     Every pair, U over the weight-a_count type class and z over all 2^n
     patterns, is counted.  A cell is (wt(z) << n) | (U ^ z), at most
     ENUM_MAX_N * 2^ENUM_MAX_N + 2^ENUM_MAX_N - 1 = 53,247, so cells fit
-    uint16.  Only the last table is kept: callers sweep the center
-    weight innermost.
+    uint16.  Only the last table is kept: callers regroup it for every
+    center weight of one (n, a_count) at once.
     """
     zs = np.arange(1 << n, dtype=np.uint16)
     pc = _popcounts(n)
@@ -226,22 +267,31 @@ def _xor_counts(n, a_count):
     return table
 
 
-def _enumerate_counts(n, a_count, w_count):
-    """Integer count table over (wt(z), resulting weight); n <= ENUM_MAX_N.
+def _enumerate_counts(n, a_count, w_counts):
+    """Integer count tables over (wt(z), resulting weight), one per
+    center weight in ``w_counts``; n <= ENUM_MAX_N.
 
-    Row j, column t counts the pairs (U, z), U over the weight-a_count
-    type class and z over all 2^n patterns with wt(z) = j, for which
-    c + U + z has weight t, c being the center of weight w_count.  It
-    regroups the columns x of `_xor_counts` by wt(c + x).  Float64 sums
+    Table i, row j, column t counts the pairs (U, z), U over the
+    weight-a_count type class and z over all 2^n patterns with
+    wt(z) = j, for which c + U + z has weight t, c being the center of
+    weight w_counts[i].  It regroups the nonzero cells (j, x) of
+    `_xor_counts` by wt(c + x), one center at a time.  Float64 sums
     are exact here: no cell exceeds C(12, 6) * 2^12 < 2^53.
     """
-    table = _xor_counts(n, a_count)
-    t = _popcounts(n)[np.arange(1 << n) ^ ((1 << w_count) - 1)]
-    cells = np.arange(0, (n + 1) ** 2, n + 1)[:, None] + t
-    counts = np.bincount(
-        cells.ravel(), weights=table.ravel(), minlength=(n + 1) ** 2
-    )
-    return counts.astype(np.int64).reshape(n + 1, n + 1)
+    table = _xor_counts(n, a_count).ravel()
+    flat = np.flatnonzero(table)
+    weights = table[flat].astype(np.float64)
+    side = n + 1
+    rows = (flat >> n) * side
+    xs = flat & ((1 << n) - 1)
+    pc = _popcounts(n)
+    counts = np.empty((len(w_counts), side * side))
+    for i, nw in enumerate(w_counts):
+        t = pc[xs ^ ((1 << nw) - 1)]
+        counts[i] = np.bincount(
+            rows + t, weights=weights, minlength=side * side
+        )
+    return counts.astype(np.int64).reshape(len(w_counts), side, side)
 
 
 def enumerate_mixed_noise_pmf(n, a_count, w_count, p):
@@ -250,28 +300,24 @@ def enumerate_mixed_noise_pmf(n, a_count, w_count, p):
     Iterates U over the full type class and Z over all 2^n patterns,
     with integer counting per (wt(z), resulting weight) cell so float
     rounding enters only in the final mixture.  The count table is
-    built once and weighted by each p: a scalar p gives one pmf
-    vector, a 1-D sequence gives one row per entry, and row i is
-    identical to the call with p[i] alone.
+    built once, regrouped for each center weight and weighted by each
+    p; w_count and p take the forms `exact_mixed_noise_pmf_vector`
+    takes, with the same bit-for-bit rule.
     """
-    if np.ndim(p) > 1:
-        raise ParameterError(f"p must be a scalar or 1-D, got {np.shape(p)}")
-    ps = list(p) if np.ndim(p) else [p]
-    for q in ps:
-        _check_query(n, a_count, w_count, 0, q)
+    n, na, ws, ps = _pmf_query(n, a_count, w_count, p)
     if n > ENUM_MAX_N:
         raise ResourceLimitError(
             f"exhaustive enumeration limited to n <= {ENUM_MAX_N}, got {n}"
         )
-    counts = _enumerate_counts(n, a_count, w_count)
-    denom = math.comb(n, a_count)
-    pmfs = np.empty((len(ps), n + 1))
-    for i, q in enumerate(ps):
-        z_prob = np.array(
-            [q ** j * (1.0 - q) ** (n - j) for j in range(n + 1)]
-        )
-        pmfs[i] = counts @ z_prob / denom
-    return pmfs if np.ndim(p) else pmfs[0]
+    counts = _enumerate_counts(n, na, ws)
+    z_prob = np.array(
+        [[q ** j * (1.0 - q) ** (n - j) for j in range(n + 1)]
+         for q in map(float, ps)]
+    ).reshape(len(ps), n + 1)
+    out = np.zeros((len(ws), len(ps), n + 1))
+    for j in range(n + 1):
+        out += counts[:, None, j, :] * z_prob[None, :, j, None]
+    return _squeeze(out / math.comb(n, na), w_count, p)
 
 
 def _accept_weight(n, theta):
@@ -305,7 +351,7 @@ def np_exact_log2_errors(n, p0, p1, theta):
 
 
 def _check_threshold_test(n, p0, p1, theta):
-    _check_query(n, 0, 0, 0, 0.0)
+    _check_query(n, 0, [0], 0, [])
     for name, v in (("p0", p0), ("p1", p1), ("theta", theta)):
         if not (0.0 <= v <= 1.0):
             raise ParameterError(f"{name}={v} outside [0, 1]")

@@ -793,24 +793,45 @@ def test_validate_full_detects_enumeration_mismatch(capsys, monkeypatch):
     assert "FAIL exhaustive enumeration equality" in out
 
 
-def test_validate_full_names_first_mismatch(capsys, monkeypatch):
-    # mismatches at p = 0.25, nt = 5 and 8 and at p = 0.4, nt = 2 of
-    # one (n, na, nw); the loop runs p outside nt, so nt = 5 is named
+def _perturb_vector_route(monkeypatch, block, bumps):
+    # bump entries of the closed-form pmf array of one (n, na) block:
+    # bumps maps (nw, p) to the nt entries multiplied by 1 + 1e-9
     exact = bindht.cli.exact_mixed_noise_pmf_vector
-    bumps = {0.25: [5, 8], 0.4: [2]}
 
     def perturbed(n, na, nw, p):
         vec = exact(n, na, nw, p)
-        if (n, na, nw) == (9, 4, 7):
-            vec[bumps.get(p, [])] *= 1.0 + 1e-9
+        if (n, na) == block:
+            for (w, q), nts in bumps.items():
+                vec[list(nw).index(w), list(p).index(q), nts] *= 1.0 + 1e-9
         return vec
 
     monkeypatch.setattr(bindht.cli, "exact_mixed_noise_pmf_vector", perturbed)
+
+
+def test_validate_full_names_first_mismatch(capsys, monkeypatch):
+    # mismatches at p = 0.25, nt = 5 and 8 and at p = 0.4, nt = 2 of
+    # one (n, na, nw); the check reads p outside nt, so nt = 5 is named
+    _perturb_vector_route(
+        monkeypatch, (9, 4), {(7, 0.25): [5, 8], (7, 0.4): [2]}
+    )
     code, out, _ = _run(capsys, "validate", "--level", "full")
     assert code == 1
     assert (
         "FAIL exhaustive enumeration equality: "
         "pmf mismatch n=9 na=4 nw=7 nt=5\n"
+    ) in out
+
+
+def test_validate_full_names_mismatch_in_last_block(capsys, monkeypatch):
+    # the last (n, na) block is checked too; nw orders before p and nt
+    _perturb_vector_route(
+        monkeypatch, (12, 12), {(11, 0.1): [9], (3, 0.4): [12]}
+    )
+    code, out, _ = _run(capsys, "validate", "--level", "full")
+    assert code == 1
+    assert (
+        "FAIL exhaustive enumeration equality: "
+        "pmf mismatch n=12 na=12 nw=3 nt=12\n"
     ) in out
 
 

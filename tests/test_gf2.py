@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import bindht.gf2
-from bindht.binmath import gv_distance
+from bindht.binmath import binary_entropy, gv_distance
 from bindht.errors import (
     LengthMismatchError,
     ParameterError,
@@ -429,6 +429,46 @@ def test_sample_code_takes_first_full_rank_draw(monkeypatch):
         code = sample_random_linear_code(4, 4, seed=seed)
         assert code.G.bits == tuple(rows)
         assert len(calls) == draws
+
+
+def _reference_fine_rows(n, k1, k2, seed, rref):
+    # the original extension rule: a draw joins the fine rows, at the
+    # top, when a full elimination finds it outside their span
+    rng = np.random.default_rng(seed)
+    rows = list(sample_random_linear_code(n, k2, rng).G.bits)
+    while len(rows) < k1:
+        v = pack_bits(rng.integers(0, 2, size=n))
+        if len(rref(rows + [v], n)[0]) == len(rows) + 1:
+            rows.insert(0, v)
+    return rows
+
+
+@pytest.mark.parametrize("n,r1,r2", [
+    (27, 1.0 - binary_entropy(0.05), 0.7 - binary_entropy(0.05)),
+    (23, 1.0 - binary_entropy(0.05), 0.4 - binary_entropy(0.05)),
+    (23, 0.4, 0.4), (23, 1.0, 0.4),
+])
+def test_nested_extension_keeps_the_draws(monkeypatch, n, r1, r2):
+    # the fine rows are the draws the full elimination accepts (at rate
+    # 1 the last draws are often in the span); one elimination of the
+    # coarse rows serves every extension candidate
+    calls = []
+    rref = bindht.gf2._rref
+
+    def counted(rows, cols):
+        calls.append(len(rows))
+        return rref(rows, cols)
+
+    monkeypatch.setattr(bindht.gf2, "_rref", counted)
+    for seed in [*range(40), *range(1_000_000, 1_000_010)]:
+        calls.clear()
+        nested = build_nested(n, r1, r2, seed=seed)
+        k1, k2 = nested.fine.k, nested.coarse.k
+        want = _reference_fine_rows(n, k1, k2, seed, rref)
+        assert nested.fine.G.bits == tuple(want), seed
+        assert nested.coarse.G.bits == tuple(want[k1 - k2:]), seed
+        # LinearCode(fine) is the one elimination of more than k2 rows
+        assert sum(rows > k2 for rows in calls) == (k1 > k2), seed
 
 
 def test_validation_errors():

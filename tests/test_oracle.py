@@ -14,13 +14,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln
 from scipy.stats import binom
 
 from bindht.errors import ParameterError, ResourceLimitError
 from bindht.oracle import (
     _enumerate_counts,
+    _log_binom_pmf,
     _log_comb,
+    _log_hyp_weights,
+    _log_mixture,
+    _logsumexp,
     _overlap_range,
     _shift_kernel,
     _xor_counts,
@@ -61,18 +66,20 @@ def _reference_counts(n, a_count, w_count):
 
 
 def test_enumerate_counts_match_reference_kernel():
+    # every center weight of one (n, na) per call, one table each
     cases = [
-        (n, na, nw)
+        (n, na, list(range(n + 1)))
         for n in range(1, 11)
         for na in range(n + 1)
-        for nw in range(n + 1)
     ]
-    cases += [(12, 0, 12), (12, 6, 6), (12, 5, 9), (12, 12, 0)]
-    for n, na, nw in cases:
-        got = _enumerate_counts(n, na, nw)
-        want = _reference_counts(n, na, nw)
-        assert np.array_equal(got, want), (n, na, nw)
-        assert got.sum() == math.comb(n, na) << n
+    cases += [(12, 0, [12]), (12, 6, [6]), (12, 5, [9, 2]), (12, 12, [0])]
+    for n, na, nws in cases:
+        tables = _enumerate_counts(n, na, nws)
+        assert tables.shape == (len(nws), n + 1, n + 1)
+        for nw, got in zip(nws, tables):
+            want = _reference_counts(n, na, nw)
+            assert np.array_equal(got, want), (n, na, nw)
+            assert got.sum() == math.comb(n, na) << n
 
 
 def test_xor_count_table_is_read_only_and_complete():
@@ -92,7 +99,10 @@ def test_xor_count_table_is_read_only_and_complete():
 
 
 def test_enumerate_counts_interleaved_calls_match_cold_calls():
-    triples = [(12, 5, 9), (11, 3, 2), (12, 5, 9), (12, 5, 0), (4, 2, 1)]
+    triples = [
+        (12, 5, [9]), (11, 3, [2, 7]), (12, 5, [9, 0]), (12, 5, [0]),
+        (4, 2, [1]),
+    ]
     warm = [_enumerate_counts(*t) for t in triples]
     for t, got in zip(triples, warm):
         _xor_counts.cache_clear()
@@ -119,6 +129,62 @@ def test_enumeration_p_sequence_rows_equal_scalar_calls():
 def test_enumeration_p_sequence_validated(ps):
     with pytest.raises(ParameterError):
         enumerate_mixed_noise_pmf(6, 2, 3, ps)
+
+
+ARRAY_PS = (0.0, 0.1, 0.25, 0.4, 1.0)
+
+
+def _assert_array_forms_equal_scalar_calls(fn, n, na, nws):
+    # entry [i, k] of the call with both arrays, row i of the call with
+    # nws[i] alone and column k of the call with p[k] alone are each the
+    # scalar call's bytes
+    both = fn(n, na, np.array(nws), ARRAY_PS)
+    assert both.shape == (len(nws), len(ARRAY_PS), n + 1)
+    for k, p in enumerate(ARRAY_PS):
+        assert fn(n, na, nws, p).tobytes() == both[:, k].tobytes()
+    for i, nw in enumerate(nws):
+        assert fn(n, na, nw, list(ARRAY_PS)).tobytes() == both[i].tobytes()
+        for k, p in enumerate(ARRAY_PS):
+            got = fn(n, na, nw, p).tobytes()
+            assert got == both[i, k].tobytes(), (n, na, nw, p)
+
+
+@pytest.mark.parametrize(
+    "fn", [exact_mixed_noise_pmf_vector, enumerate_mixed_noise_pmf],
+    ids=["closed-form", "enumeration"],
+)
+@pytest.mark.parametrize("n", range(1, 13))
+def test_array_center_weights_equal_scalar_calls(fn, n):
+    for na in range(n + 1):
+        _assert_array_forms_equal_scalar_calls(fn, n, na, list(range(n + 1)))
+
+
+@pytest.mark.parametrize("n", [16, 40, 64])
+def test_pmf_vector_array_center_weights_beyond_enumeration(n):
+    # every na at n = 16, every seventh and n beyond; every nw
+    counts = range(n + 1) if n <= 16 else sorted({*range(0, n + 1, 7), n})
+    for na in counts:
+        _assert_array_forms_equal_scalar_calls(
+            exact_mixed_noise_pmf_vector, n, na, list(range(n + 1))
+        )
+
+
+@pytest.mark.parametrize(
+    "fn", [exact_mixed_noise_pmf_vector, enumerate_mixed_noise_pmf],
+    ids=["closed-form", "enumeration"],
+)
+def test_array_center_weights_validated(fn):
+    # each entry is checked and named as its scalar call would be
+    with pytest.raises(ParameterError, match="w_count=7 outside"):
+        fn(6, 2, [1, 7, 3], 0.1)
+    with pytest.raises(ParameterError, match="w_count=2.5 is not an integer"):
+        fn(6, 2, [1, 2.5], [0.1, 0.2])
+    with pytest.raises(ParameterError, match="w_count must be a scalar or 1-D"):
+        fn(6, 2, [[1, 2]], 0.1)
+    with pytest.raises(ParameterError, match=r"p=1.5 outside \[0, 1\]"):
+        fn(6, 2, [1, 2], [0.1, 1.5])
+    assert fn(6, 2, [], [0.1]).shape == (0, 1, 7)
+    assert fn(6, 2, [3], []).shape == (1, 0, 7)
 
 
 def _reference_pmf_linear(n, na, nw, p):
@@ -275,6 +341,41 @@ def test_full_ball_is_certain():
                         got = exact_ball_log2_prob(n, na, nw, nt, p)
                         assert got <= 0.0, (n, na, nw, nt, p)
                     assert got > -1e-12, (n, na, nw, p)
+
+
+def _reference_log_mixture(n, na, nw, nt, p, ball):
+    # the untruncated sum: W1's log-pmf (and log-CDF) over all of
+    # 0..n - s for every overlap; kept as the reference for _log_mixture
+    ms, log_hyp = _log_hyp_weights(n, na, nw)
+    terms = np.full(len(ms), -math.inf)
+    for i, m in enumerate(ms):
+        s = nw + na - 2 * m
+        d = nt - s
+        js = np.arange(max(0, -d), (s if ball else min(s, n - s - d)) + 1)
+        if len(js) == 0:
+            continue
+        lw1 = _log_binom_pmf(n - s, p)
+        if ball:
+            lw1 = np.logaddexp.accumulate(lw1)
+        idx = np.minimum(js + d, n - s)
+        terms[i] = _logsumexp(_log_binom_pmf(s, p)[js] + lw1[idx])
+    return _logsumexp(log_hyp + terms)
+
+
+def test_log_mixture_matches_untruncated_reference():
+    # building W1 only where the sum reads it changes no bit
+    rng = np.random.default_rng(20)
+    ns = [1, 2, 3, 12, 64, 200, 2000, *rng.integers(1, 2001, size=2)]
+    for n in map(int, ns):
+        for p in (0.0, 1.0, 1e-9, float(rng.random())):
+            na, nw, nt = map(int, rng.integers(0, n + 1, size=3))
+            for t in (0, nt, n):
+                for ball in (False, True):
+                    got = _log_mixture(n, na, nw, t, p, ball)
+                    want = _reference_log_mixture(n, na, nw, t, p, ball)
+                    assert float(got).hex() == float(want).hex(), (
+                        n, na, nw, t, p, ball
+                    )
 
 
 def test_log_comb_against_exact_integers():
@@ -443,3 +544,66 @@ def test_pmf_routes_refuse_as_the_query_does(fn, args):
 def test_threshold_test_validation(fn, args, message):
     with pytest.raises(ParameterError, match=message):
         fn(*args)
+
+
+# inputs the pmf routes must refuse or take: out-of-range and
+# non-integer counts, and crossovers outside [0, 1] or not numbers
+_SPECIALS = [-1, 2.5, 0, 1, 1e-320, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def _pmf_route_calls(draw):
+    fn, top = draw(st.sampled_from(
+        [(enumerate_mixed_noise_pmf, 12), (exact_mixed_noise_pmf_vector, 64)]
+    ))
+    # the first n past each route's limit is drawn only as a refusal
+    n = draw(st.integers(1, top + 1))
+    na = draw(st.integers(0, n))
+    nws = draw(st.lists(st.integers(0, n), min_size=1, max_size=4))
+    ps = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    # half the calls plant one input from the specials
+    planted = draw(st.booleans())
+    if planted:
+        bad = draw(st.sampled_from([*_SPECIALS, n + 1]))
+        slot = draw(st.integers(0, len(nws) + len(ps)))
+        if slot == 0:
+            na = bad
+        elif slot <= len(nws):
+            nws[slot - 1] = bad
+        else:
+            ps[slot - 1 - len(nws)] = bad
+
+    def shaped(entries):
+        # the first entry as a scalar, or all as a list or an array
+        return draw(st.sampled_from(
+            [entries[0], entries, np.array(entries)]
+        ))
+
+    return fn, top, n, na, shaped(nws), shaped(ps), planted
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pmf_route_calls())
+@example((enumerate_mixed_noise_pmf, 12, 13, 2, [3], 0.1, False))
+@example((exact_mixed_noise_pmf_vector, 64, 65, 2, 3, np.array([0.1]), False))
+def test_pmf_routes_fuzzed(call):
+    # a pmf equal to the scalar calls, or a clean refusal of an input
+    # outside the ranges; nothing else
+    fn, top, n, na, nw, p, planted = call
+    try:
+        got = fn(n, na, nw, p)
+    except (ParameterError, ResourceLimitError):
+        assert planted or n > top
+        return
+    nws = list(nw) if np.ndim(nw) else [nw]
+    ps = list(p) if np.ndim(p) else [p]
+    assert got.shape == (
+        (len(nws),) * (np.ndim(nw) == 1) + (len(ps),) * (np.ndim(p) == 1)
+        + (n + 1,)
+    )
+    assert np.all(got >= 0.0)
+    np.testing.assert_allclose(got.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+    rows = got.reshape(len(nws), len(ps), n + 1)
+    for i, w in enumerate(nws):
+        for k, q in enumerate(ps):
+            assert fn(n, na, w, q).tobytes() == rows[i, k].tobytes()
