@@ -8,8 +8,8 @@ generator G; its parity check H is derived from the reduced echelon
 form of G, so G alone fixes the syndrome map s(x) = x H^T, whose bit i
 is the parity of row i against x (an XOR of per-byte tables cached per
 matrix).  Coset leaders (minimum-weight coset members, ties to the
-lexicographically smallest vector) come from a table built by a
-breadth-first search over the syndrome space, cached per code.
+lexicographically smallest vector) come from a table built in one pass
+per code column, cached per code.
 
 ``build_nested`` draws a pair of codes sharing generator rows so the
 coarse code is a subcode of the fine one; each derives its own parity
@@ -22,6 +22,7 @@ syndromes of X and Y likewise add to that of Z = X ^ Y.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -36,9 +37,6 @@ from .errors import (
 
 #: widest syndrome for which the full leader table is materialized
 _TABLE_BITS = 22
-
-#: frontier syndromes expanded at once by the leader-table search
-_BFS_CHUNK = 1024
 
 #: largest code dimension for exhaustive spectrum enumeration
 _SPECTRUM_DIM = 24
@@ -173,6 +171,10 @@ class CodeDiagnostics:
 
 def sample_random_linear_code(n, k, seed=None):
     """Uniform random full-rank [n, k] code; rejection on rank failure."""
+    try:
+        n, k = operator.index(n), operator.index(k)
+    except TypeError:
+        raise ParameterError(f"need integers, got n={n!r} k={k!r}") from None
     if not (1 <= k <= n):
         raise ParameterError(f"need 1 <= k <= n, got k={k} n={n}")
     rng = np.random.default_rng(seed)
@@ -214,15 +216,21 @@ def row_parities(rows, words):
 def syndromes(code, words):
     """Syndrome x H^T of each packed word; bit i from parity-check row i.
 
-    Takes an int or an array of them and raises LengthMismatchError for
-    a word that does not fit in n bits.
+    Takes an int or an array of them.  Raises ParameterError for a word
+    that is not an integer and LengthMismatchError for one that does not
+    fit in n bits.
     """
     try:
+        if not (isinstance(words, np.ndarray) and words.dtype.kind in "iu"):
+            index = np.frompyfunc(operator.index, 1, 1)
+            words = index(np.asarray(words, dtype=object))
+        fits = not np.any(words < 0)  # a signed array would wrap
         words = np.asarray(words, dtype=np.uint64)
-        fits = not np.any(words >> np.uint64(code.n))
+    except TypeError:  # floats, strings and None have no __index__
+        raise ParameterError("words must be integers") from None
     except OverflowError:  # a negative int, or one wider than 64 bits
         fits = False
-    if not fits:
+    if not fits or np.any(words >> np.uint64(code.n)):
         raise LengthMismatchError(f"a word does not fit in {code.n} bits")
     return row_parities(code.H.bits, words)
 
@@ -242,75 +250,48 @@ def _popcount64(v):
     return np.multiply(v, h01) >> np.uint64(56)
 
 
+def _xor_view(table, c):
+    """(2,) * m view of a syndrome table read at s ^ c: axis a holds bit
+    m - 1 - a of s, so the axes of the set bits of c are flipped."""
+    keep, flip = slice(None), slice(None, None, -1)
+    return table[tuple(flip if c >> b & 1 else keep
+                       for b in reversed(range(table.ndim)))]
+
+
 @lru_cache(maxsize=32)
 def _leader_data(code):
     """Leader table (packed leaders, weights) indexed by syndrome.
 
     Leaders minimize (weight, rho), where rho(v) = sum over j in v of
     2^(n-1-j) is the bit-reversed packed value, whose order is the
-    lexicographic order of coordinate tuples.  The table is filled by a
-    breadth-first search over the syndrome space: level w starts from
-    the syndromes first reached at weight w - 1, each holding its least
-    rho, and every such syndrome s proposes s ^ c_j with
-    rho(s) | 2^(n-1-j) for every unit syndrome c_j.  Each syndrome not
-    yet reached keeps the least proposal; reached syndromes are masked
-    out, since a heavier word can have a smaller rho.
-
-    The search is exact because rho is additive over disjoint
-    coordinates.  Let L be the least weight-w member of coset t and take
-    j in L.  Then t ^ c_j has minimum weight exactly w - 1, and L - {j}
-    is its least member: a smaller weight-(w - 1) member M would give
-    the smaller member M + {j} of t when j is not in M, and the
-    weight-(w - 2) member M - {j} of t when it is.  So L itself is
-    proposed from level w - 1, and every unmasked proposal is a
-    weight-w member of its coset.  The frontier is processed in chunks,
-    so transient memory is O(chunk * n) on top of the tables.
+    lexicographic order of coordinate tuples.  Let T_j(s) be the least
+    word of syndrome s on columns j..n-1 (T_n: the empty word at s = 0).
+    Adding {j} to the words of syndrome s ^ c_j on columns above j keeps
+    their order and puts their rho above that of every word on columns
+    above j.  So T_j(s) = T_{j+1}(s ^ c_j) + {j} when that word is
+    strictly lighter than T_{j+1}(s), and T_j(s) = T_{j+1}(s) otherwise:
+    one pass per column, from n - 1 down to 0, compares weights alone.
     """
     n = code.n
     if n > 64:
         raise ResourceLimitError("leader tables support blocklengths up to 64")
-    size = 1 << (n - code.k)
+    shape = (2,) * (n - code.k)
+    leaders = np.zeros(shape, dtype=np.uint64)
+    weights = np.full(shape, n + 1, dtype=np.uint8)  # heavier than any word
+    weights.flat[0] = 0
     units = np.uint64(1) << np.arange(n, dtype=np.uint64)
-    unit_syn = syndromes(code, units).astype(np.intp)
-    rev_unit = units[::-1]
-    rho = np.full(size, np.iinfo(np.uint64).max, dtype=np.uint64)
-    rho[0] = 0
-    weights = np.zeros(size, dtype=np.uint8)
-    reached = np.zeros(size, dtype=bool)
-    reached[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
-    remaining = size - 1
-    w = 0
-    # H has full rank n - k (one row per free column), so every syndrome
-    # is reached
-    while remaining:
-        w += 1
-        for lo in range(0, frontier.size, _BFS_CHUNK):
-            rows = frontier[lo:lo + _BFS_CHUNK]
-            t = (rows[:, None] ^ unit_syn).ravel()
-            keep = ~reached[t]
-            t = t[keep]
-            props = (rho[rows][:, None] | rev_unit).ravel()[keep]
-            np.minimum.at(rho, t, props)
-            weights[t] = w
-        frontier = np.flatnonzero(weights == w)
-        reached[frontier] = True
-        remaining -= frontier.size
-    # reversing the bits of rho in place turns it into the packed
-    # leaders: swap adjacent bits, then pairs, then nibbles, then bytes,
-    # and drop the 64 - n unused low bits
-    scratch = np.empty_like(rho)
-    for shift, mask in ((1, 0x5555555555555555), (2, 0x3333333333333333),
-                        (4, 0x0F0F0F0F0F0F0F0F)):
-        shift, mask = np.uint64(shift), np.uint64(mask)
-        np.right_shift(rho, shift, out=scratch)
-        scratch &= mask
-        rho &= mask
-        rho <<= shift
-        rho |= scratch
-    rho.byteswap(inplace=True)
-    rho >>= np.uint64(64 - n)
-    return rho, weights
+    # scratch made once, so no pass maps and faults in fresh pages
+    lighter, better = np.empty(shape, np.uint8), np.empty(shape, bool)
+    moved = np.empty_like(leaders)
+    for j, c in reversed(list(enumerate(syndromes(code, units).tolist()))):
+        if c:  # a zero column changes nothing
+            np.add(_xor_view(weights, c), np.uint8(1), out=lighter)
+            np.less(lighter, weights, out=better)
+            np.copyto(weights, lighter, where=better)
+            np.bitwise_or(_xor_view(leaders, c), units[j], out=moved)
+            np.copyto(leaders, moved, where=better)
+    # H has full rank n - k, so T_0 holds a word for every syndrome
+    return leaders.reshape(-1), weights.reshape(-1)
 
 
 def coset_table(code):
@@ -359,6 +340,12 @@ def diagnostics(code):
     )
 
 
+def _cover_score(weights):
+    """(covering radius, cosets at that radius) of a leader-weight table."""
+    radius = int(weights.max())
+    return radius, int(np.count_nonzero(weights == radius))
+
+
 def improve_covering(code, seed=None, rounds=None, candidates=64):
     """Greedily append generator rows that shrink the covering radius.
 
@@ -376,24 +363,18 @@ def improve_covering(code, seed=None, rounds=None, candidates=64):
     for _ in range(rounds):
         if current.k == current.n:
             break
-        _, weights = coset_table(current)
-        radius = int(weights.max())
-        score = (radius, int(np.count_nonzero(weights == radius)))
-        best = None
+        table = coset_table(current)[1].reshape((2,) * (current.n - current.k))
+        best, row = _cover_score(table), None
         for _ in range(candidates):
             v = pack_bits(rng.integers(0, 2, size=current.n))
-            sv = int(syndromes(current, v))
-            if sv == 0:
-                continue  # already a codeword
-            merged = np.minimum(weights, weights[np.arange(len(weights)) ^ sv])
-            m_rad = int(merged.max())
-            m_score = (m_rad, int(np.count_nonzero(merged == m_rad)))
-            if m_score < score and (best is None or m_score < best[0]):
-                best = (m_score, v)
-        if best is None:
+            sv = int(syndromes(current, v))  # 0 for a codeword, never wins
+            score = _cover_score(np.minimum(table, _xor_view(table, sv)))
+            if score < best:
+                best, row = score, v
+        if row is None:
             break
         current = LinearCode(
-            BitMatrix.from_rows(current.G.bits + (best[1],), current.n)
+            BitMatrix.from_rows(current.G.bits + (row,), current.n)
         )
     return current
 

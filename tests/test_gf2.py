@@ -7,11 +7,12 @@ downstream trusts the tables.
 """
 
 import itertools
+import random
 import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bindht.gf2
 from bindht.binmath import binary_entropy, gv_distance
@@ -36,8 +37,9 @@ from bindht.gf2 import (
     syndromes,
     _byte_tables,
     _popcount64,
+    _xor_view,
 )
-from gf2_oracle import syndrome
+from gf2_oracle import leader_data_bfs, syndrome
 
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64)
 
@@ -220,6 +222,59 @@ def test_coset_table_wide_syndromes():
     assert np.array_equal(syndromes(code, leaders), np.arange(size))
     assert np.array_equal(_popcount64(leaders), weights)
     assert np.array_equal(weights, _coset_weights_bfs(code))
+
+
+@pytest.mark.parametrize("n", [60, 64])
+def test_coset_table_matches_bfs_at_wide_blocklengths(n):
+    # m = n - k = 20 at blocklengths too wide for weight and rho to share
+    # one uint64 key, so the build may not rely on one
+    code = sample_random_linear_code(n, n - 20, seed=0)
+    leaders, weights = coset_table(code)
+    want_leaders, want_weights = leader_data_bfs(code)
+    assert np.array_equal(leaders, want_leaders)
+    assert np.array_equal(weights, want_weights)
+
+
+@st.composite
+def _codes(draw):
+    """Codes with n <= 64 and n - k <= 14.  Leading generator rows may be
+    unit vectors (a zero column syndrome) or pairs (two equal columns);
+    random rows fill G up to rank k."""
+    n = draw(st.integers(1, 64))
+    k = draw(st.integers(max(1, n - 14), n))
+    coord = st.integers(0, n - 1)
+    special = draw(st.lists(
+        st.tuples(coord, coord).map(lambda p: 1 << p[0] | 1 << p[1]),
+        max_size=3,
+    ))
+    rand = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows, basis = [], {}  # basis: top bit -> reduced row
+    for v in itertools.chain(special, iter(lambda: rand.getrandbits(n), None)):
+        r = v
+        while r and r.bit_length() in basis:
+            r ^= basis[r.bit_length()]
+        if r:
+            basis[r.bit_length()] = r
+            rows.append(v)
+        if len(rows) == k:
+            return LinearCode(BitMatrix.from_rows(rows, n))
+
+
+@settings(deadline=None)
+@given(_codes())
+def test_coset_table_matches_bfs_reference(code):
+    leaders, weights = coset_table(code)
+    want_leaders, want_weights = leader_data_bfs(code)
+    assert np.array_equal(leaders, want_leaders)
+    assert np.array_equal(weights, want_weights)
+
+
+@given(st.integers(1, 12), st.integers(0, 2**12 - 1))
+def test_xor_view_reads_the_table_at_s_xor_c(m, c):
+    c %= 1 << m
+    table = np.arange(1 << m).reshape((2,) * m)
+    want = np.arange(1 << m) ^ c
+    assert np.array_equal(_xor_view(table, c).ravel(), want)
 
 
 def _nearest_brute(code, x):
@@ -482,6 +537,38 @@ def test_validation_errors():
         sample_random_linear_code(8, 9, seed=0)
     with pytest.raises(ParameterError):
         build_nested(16, 0.4, 0.8, seed=0)
+
+
+edge_values = st.sampled_from([0, -1, 2.5, 3.5, float("nan"), float("inf"),
+                               -float("inf"), "a", None])
+edge_words = st.one_of(
+    edge_values, st.floats(), st.integers(min_value=-2**65, max_value=2**65)
+)
+edge_dims = st.one_of(edge_values, st.floats(), st.integers(-3, 24))
+
+
+@given(edge_words, edge_dims, edge_dims)
+@example(3.5, 5, 2.5)
+@example(float("nan"), 5.0, 2)
+@example("a", 24, 24)
+def test_gf2_inputs_end_in_an_answer_or_a_clear_error(word, n, k):
+    code = sample_random_linear_code(12, 5, seed=0)
+    if type(word) is int and 0 <= word < 1 << 12:
+        assert int(syndromes(code, word)) == syndrome(code, word)
+        assert syndrome(code, int(quantize(code, word))) == 0
+    else:
+        err = LengthMismatchError if type(word) is int else ParameterError
+        for bad in (word, [1, word], np.array([word])):
+            with pytest.raises(err):
+                syndromes(code, bad)
+            with pytest.raises(err):
+                quantize(code, bad)
+    if type(n) is int and type(k) is int and 1 <= k <= n:
+        code = sample_random_linear_code(n, k, seed=0)
+        assert (code.n, code.k) == (n, k)
+    else:
+        with pytest.raises(ParameterError):
+            sample_random_linear_code(n, k, seed=0)
 
 
 def test_syndromes_reject_words_wider_than_n():
