@@ -16,12 +16,17 @@ Blocklengths are small enough that coset leader tables make the decoders
 exact: the decoded word is the coset leader of that syndrome, and a bin
 error is a leader that differs from the word itself.
 
-Randomness is counter-based: each hypothesis of a run reads one Philox
-stream keyed by (seed, scheme id, hyp), trial after trial, 2n uniforms
-per trial.  Runs are reproducible bit for bit, and since the stream is
-read in order, the records do not depend on the chunk size in which
-trials are drawn and decoded.  Records are held as columns in a
-`TrialRecords`.
+Randomness is counter-based and read as raw 64-bit Philox words.  A
+trial takes X from the low n bits of one word, and lane j of Z is
+[U_j < p] for a uniform U_j whose binary digits are bit j of successive
+words, compared with the exact binary expansion of the double p (see
+`_draw_words`).  Each hypothesis of a run reads the stream keyed by
+(seed, scheme id, hyp) and, for the few trials with a lane not
+decided by the first `_DIGITS` digits, the streams keyed by (seed,
+scheme id, hyp, level).  Every stream is read trial after trial, so runs
+are reproducible bit for bit and the records do not depend on the chunk
+size in which trials are drawn and decoded.  Records are held as columns
+in a `TrialRecords`.
 """
 
 import math
@@ -38,6 +43,10 @@ _SCHEME_IDS = {"one_sided": 0, "korner_marton": 1}
 
 #: trials drawn, or decoded, at a time; bounds the temporaries held
 _CHUNK = 4096
+
+#: digit words of p a trial reads per stream level; 2^-_DIGITS of its
+#: lanes are still open after each level
+_DIGITS = 8
 
 #: most trials per hypothesis; a run holds about 35 bytes per trial
 _MAX_TRIALS = 10_000_000
@@ -120,39 +129,95 @@ class ErrorEstimate:
 def gen_dsbs(n, p, seed=None):
     """One doubly symmetric source block as a pair of packed words.
 
-    X is uniform on n bits, Y = X xor Z with Z i.i.d. Bernoulli(p).
-    seed may be anything `numpy.random.default_rng` accepts, including
-    an existing Generator, which is used in place.
+    X is uniform on n bits, Y = X xor Z with Z i.i.d. Bernoulli(p),
+    drawn by the sampler of `simulate` (`_draw_words`) from the raw
+    words of one bit generator, which serves every level in turn.  seed
+    may be anything `numpy.random.default_rng` accepts, including an
+    existing Generator, whose bit generator is read in place.
     """
     if not (1 <= n <= 64):
         raise ParameterError(f"blocklength {n} outside [1, 64]")
     if not (0.0 <= p <= 1.0):
         raise ParameterError(f"p={p} outside [0, 1]")
-    x, z = _draw_words(np.random.default_rng(seed), 1, n, p)
+    bits = np.random.default_rng(seed).bit_generator
+    x, z = _draw_words(lambda level: bits, 1, n, p)
     return int(x[0]), int(x[0] ^ z[0])
 
 
-def _draw_words(rng, rows, n, p):
-    """(X, Z) uint64 words of `rows` trials, from 2n uniforms u each.
+def _digits(p):
+    """Binary digits of the double p after the point, most significant
+    first; the last one is 1.  Empty for p = 0 and p = 1."""
+    num, den = float(p).as_integer_ratio()
+    e = den.bit_length() - 1  # den is a power of two
+    return [num >> (e - 1 - i) & 1 for i in range(e)]
 
-    Bit j of X is u[j] < 1/2 and bit j of Z is u[n + j] < p.
+
+def _compare(words, digits, live, less):
+    """Advance lanes by one digit per column of words, in place: a live
+    lane whose digit differs from p's is decided, and set in less when
+    its digit is the 0 against p's 1."""
+    for w, b in zip(words.T, digits):
+        if b:
+            less |= live & ~w
+            live &= w
+        else:
+            live &= ~w
+
+
+def _draw_words(streams, rows, n, p):
+    """(X, Z) uint64 words of `rows` trials; streams(level) is the bit
+    generator read at that level.
+
+    X is the low n bits of one raw word.  Bit j of Z is [U_j < p], where
+    the binary digits of the uniform U_j are bit j of successive raw
+    words: lane j is decided at its first digit that differs from p's,
+    and a lane that matches all of p's digits has U_j >= p.  This is the
+    exact Bernoulli law of the double p.  Level 0 reads, trial after
+    trial, the X word and up to `_DIGITS` digit words.  Each trial with a
+    lane still open then reads up to `_DIGITS` more at each further
+    level, trial after trial, until every lane is decided.
     """
-    bits = rng.random((rows, 2, n)) < np.array([[0.5], [p]])
-    packed = np.zeros((rows, 2, 8), dtype=np.uint8)
-    packed[..., :(n + 7) // 8] = np.packbits(bits, axis=2, bitorder="little")
-    words = packed.view("<u8")[..., 0].astype(np.uint64, copy=False)
-    return words[:, 0], words[:, 1]
+    mask = np.uint64((1 << n) - 1)
+    digits = _digits(p)
+    d = min(_DIGITS, len(digits))
+    words = streams(0).random_raw((rows, 1 + d))
+    x = words[:, 0] & mask
+    if p == 1.0:
+        return x, np.full(rows, mask)
+    live = np.full(rows, mask)
+    z = np.zeros(rows, dtype=np.uint64)
+    _compare(words[:, 1:], digits, live, z)
+    rest = np.arange(rows)
+    for level, lo in enumerate(range(d, len(digits), _DIGITS), 1):
+        rest = rest[live[rest] != 0]
+        if not rest.size:
+            break
+        more = digits[lo:lo + _DIGITS]
+        sub_live, sub_z = live[rest], z[rest]
+        _compare(streams(level).random_raw((rest.size, len(more))), more,
+                 sub_live, sub_z)
+        live[rest], z[rest] = sub_live, sub_z
+    return x, z
 
 
 def _draw_run(cfg, scheme_id, hyp, p):
-    """(X, Z) word arrays for one hypothesis from its own stream."""
-    key = np.random.SeedSequence((cfg.seed, scheme_id, hyp))
-    rng = np.random.Generator(np.random.Philox(key))
+    """(X, Z) word arrays for one hypothesis from its own streams: level
+    L of `_draw_words` reads the Philox stream keyed by (seed, scheme
+    id, hyp), with L appended from level 1 on."""
+    key = (cfg.seed, scheme_id, hyp)
+    made = []
+
+    def streams(level):
+        if level == len(made):  # a chunk reads level L only after L - 1
+            seq = np.random.SeedSequence(key + ((level,) if level else ()))
+            made.append(np.random.Philox(seq))
+        return made[level]
+
     x = np.empty(cfg.trials, dtype=np.uint64)
     z = np.empty(cfg.trials, dtype=np.uint64)
     for lo in range(0, cfg.trials, _CHUNK):
         hi = min(lo + _CHUNK, cfg.trials)
-        x[lo:hi], z[lo:hi] = _draw_words(rng, hi - lo, cfg.n, p)
+        x[lo:hi], z[lo:hi] = _draw_words(streams, hi - lo, cfg.n, p)
     return x, z
 
 

@@ -2,22 +2,33 @@
 
 The distributional checks compare Monte Carlo rates against exact
 enumeration over all noise words, which ties the simulated decoders to
-the same law the oracle module integrates analytically.
+the same law the oracle module integrates analytically, and against
+the syndrome-pmf route of `exact_codes` at the sizes `simulate` runs.
+The lane sampler is checked against a one-digit-at-a-time reference
+and against the exact Bernoulli law.
 """
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import binomtest
 
 from bindht.binmath import binary_entropy
-from bindht.gf2 import build_nested, coset_table, sample_random_linear_code
+from bindht.gf2 import (
+    build_nested,
+    coset_table,
+    sample_random_linear_code,
+    syndromes,
+)
 from bindht.errors import ParameterError, ResourceLimitError
 from bindht.regions import HypothesisPair
 import bindht.simkit
 from bindht.simkit import (
+    _DIGITS,
     _MAX_TRIALS,
     _SCHEME_IDS,
     SimConfig,
@@ -31,7 +42,58 @@ from bindht.simkit import (
     run_korner_marton,
     run_one_sided,
 )
+from exact_codes import (
+    bin_error_rate,
+    decide_rate,
+    one_sided_shifts,
+    scheme_rates,
+)
 from gf2_oracle import syndrome
+
+
+def _reference_trial(read, n, p):
+    """(X, Z) of one trial, one Python int and one lane digit at a time.
+
+    read(level, k) gives the next k raw words of that level's stream.
+    X is the low n bits of the first word; lane j of Z compares bit j of
+    the following words with the digits of Fraction(p) until they
+    differ, and reads the next level's words every _DIGITS digits.
+    """
+    mask = (1 << n) - 1
+    digits, f = [], Fraction(p) % 1  # p = 1 has no digits: all lanes set
+    while f:
+        f *= 2
+        digits.append(f >= 1)
+        f -= digits[-1]
+    x, *words = read(0, 1 + min(_DIGITS, len(digits)))
+    if p == 1:
+        return x & mask, mask
+    z, live = 0, mask
+    for i, b in enumerate(digits):
+        if not live:
+            break
+        level, j = divmod(i, _DIGITS)
+        if level and not j:
+            words = read(level, min(_DIGITS, len(digits) - i))
+        if b:
+            z |= live & ~words[j]
+            live &= words[j]
+        else:
+            live &= ~words[j]
+    return x & mask, z
+
+
+def _keyed_reader(key):
+    """read(level, k) on the Philox streams keyed by key, with the level
+    appended from level 1 on, each read in order."""
+    streams = {}
+
+    def read(level, k):
+        if level not in streams:
+            seq = np.random.SeedSequence(key + ((level,) if level else ()))
+            streams[level] = np.random.Philox(seq)
+        return streams[level].random_raw(k).tolist()
+    return read
 
 
 def test_gen_dsbs_degenerate_noise():
@@ -144,16 +206,93 @@ def test_schemes_use_separate_streams():
 @pytest.mark.parametrize("scheme", sorted(_SCHEME_IDS))
 @pytest.mark.parametrize("hyp,p", [(0, 0.1), (1, 0.35)])
 def test_draw_run_matches_gen_dsbs_loop(monkeypatch, scheme, hyp, p):
-    # chunks of 128 trials, the last one partial, read the same stream
-    # as one gen_dsbs call per trial on a shared generator
+    # chunks of 128 trials, the last one partial, read the same streams
+    # as one-row draws of the sampler, trial after trial, on the run's
+    # level streams; about a tenth of the trials reach level 1 here
     monkeypatch.setattr(bindht.simkit, "_CHUNK", 128)
     cfg = replace(_cfg(trials=300, seed=4), n=27)
     x, z = _draw_run(cfg, _SCHEME_IDS[scheme], hyp, p)
-    key = np.random.SeedSequence((4, _SCHEME_IDS[scheme], hyp))
-    rng = np.random.Generator(np.random.Philox(key))
+    read = _keyed_reader((4, _SCHEME_IDS[scheme], hyp))
     for t in range(cfg.trials):
-        xt, yt = gen_dsbs(27, p, rng)
-        assert (int(x[t]), int(z[t])) == (xt, xt ^ yt)
+        assert (int(x[t]), int(z[t])) == _reference_trial(read, 27, p)
+
+
+@pytest.mark.parametrize("n", [1, 27, 64])
+@pytest.mark.parametrize(
+    "p", [0.0, 0.5, 0.1, 0.35, 2.0**-40, 1e-300, 5e-324, 1 - 2.0**-53, 1.0],
+)
+def test_gen_dsbs_reads_one_generator_for_every_level(n, p):
+    for seed in range(20):
+        bits = np.random.default_rng(seed).bit_generator
+        x, z = _reference_trial(lambda level, k: bits.random_raw(k).tolist(),
+                                n, p)
+        assert gen_dsbs(n, p, seed) == (x, x ^ z)
+
+
+@pytest.mark.parametrize(
+    "p", [0.5, 2.0**-40, 1e-300, 0.1, 1 - 2.0**-53, 0.0, 1.0, 5e-324],
+)
+def test_lane_sampler_follows_bernoulli_law(p):
+    # on one fixed seed, the mean of each of the 64 lanes of X and of Z,
+    # and the covariance of every pair of them, within 5 sd of the exact
+    # law; 1e-12 is far below the 1/trials resolution of a rate
+    trials = 20_000
+    x, z = _draw_run(replace(_cfg(trials=trials, seed=2), n=64), 0, 0, p)
+    lanes = np.arange(64, dtype=np.uint64)
+    bits = np.concatenate([(x[:, None] >> lanes) & np.uint64(1),
+                           (z[:, None] >> lanes) & np.uint64(1)], axis=1)
+    bits = bits.astype(np.float32)  # pair counts below 2^24 stay exact
+    want = np.array([0.5] * 64 + [p] * 64)
+    var = want * (1.0 - want)
+    mean = bits.mean(axis=0, dtype=float)
+    assert (np.abs(mean - want) <= 5.0 * np.sqrt(var / trials) + 1e-12).all()
+    cov = (bits.T @ bits).astype(float) / trials - np.outer(mean, mean)
+    np.fill_diagonal(cov, 0.0)
+    sd = np.sqrt(np.outer(var, var) / trials)
+    assert (np.abs(cov) <= 5.0 * sd + 1e-12).all()
+
+
+_EDGE_P = (0.0, 0.5, 1.0, 1e-320, math.nan, math.inf, -math.inf, -0.0,
+           -0.1, -1e-320)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, 64, 65]),
+    p=st.one_of(st.floats(0.0, 1.0), st.sampled_from(_EDGE_P)),
+    seed=st.integers(0, 2**64),
+)
+def test_gen_dsbs_fuzz_ends_in_words_or_refusal(n, p, seed):
+    try:
+        x, y = gen_dsbs(n, p, seed)
+    except (ParameterError, ResourceLimitError):
+        assert not (1 <= n <= 64 and 0.0 <= p <= 1.0)
+        return
+    assert 0 <= x < 1 << n and 0 <= y < 1 << n
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, 64, 65]),
+    ps=st.lists(st.one_of(st.floats(0.0, 0.5), st.sampled_from(_EDGE_P)),
+                min_size=2, max_size=2),
+    theta=st.one_of(st.floats(0.0, 1.0), st.sampled_from(_EDGE_P)),
+    trials=st.sampled_from([-1, 0, 1, 130, _MAX_TRIALS + 1]),
+    seed=st.integers(-1, 2**64),
+)
+def test_sim_config_fuzz_draws_words_or_refuses(n, ps, theta, trials, seed):
+    # a config that is built draws every trial of both hypotheses as
+    # words below 2^n
+    try:
+        cfg = SimConfig(n=n, trials=trials, seed=seed,
+                        h=HypothesisPair(*ps), theta=theta)
+    except (ParameterError, ResourceLimitError):
+        return
+    for hyp, p in ((0, cfg.h.p0), (1, cfg.h.p1)):
+        for words in _draw_run(cfg, 0, hyp, p):
+            assert len(words) == trials
+            # two shifts, since one by 64 bits is undefined
+            assert not (words >> np.uint64(1) >> np.uint64(n - 1)).any()
 
 
 def test_records_independent_of_chunk_size(monkeypatch):
@@ -232,6 +371,51 @@ def test_monte_carlo_matches_enumeration():
             exact = _exact_decided_prob(decode_code, p, k_acc)
             sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / trials)
             assert abs(rate - exact) < 4 * sigma + 1e-9
+
+
+@pytest.mark.parametrize("n", [10, 14])
+@pytest.mark.parametrize("p", [0.01, 0.25, 0.5])
+def test_exact_rates_match_enumeration(n, p):
+    # exact_codes against every noise word and every shift, for both
+    # decoders: Z alone, and E ^ Z with E uniform over the fine leaders
+    nested = build_nested(n, 0.7, 0.4, seed=n)
+    z = np.arange(1 << n, dtype=np.uint64)
+    w = np.array([bin(v).count("1") for v in range(1 << n)])
+    law = p ** w * (1.0 - p) ** (n - w)
+    leaders, weights = coset_table(nested.coarse)
+    for shifts in (np.zeros(1, dtype=np.uint64), one_sided_shifts(nested)):
+        decided = bin_err = 0.0
+        for e in shifts:
+            s = syndromes(nested.coarse, z ^ e)
+            decided += law[weights[s] > _accept_weight(n, 0.2)].sum()
+            bin_err += law[leaders[s] != z ^ e].sum()
+        got = (decide_rate(nested.coarse, p, 0.2, shifts),
+               bin_error_rate(nested.coarse, p, shifts))
+        want = (decided / len(shifts), bin_err / len(shifts))
+        assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scheme", sorted(_SCHEME_IDS))
+def test_records_follow_exact_rates(scheme):
+    # seed 0 fixed in advance; 1e5 trials per hypothesis at the fig3a
+    # pair, with the codes `simulate` builds; each of eps0, eps1 and the
+    # two bin rates within 5 binomial sd of its exact value
+    h, theta, trials = HypothesisPair(0.01, 0.25), 0.1, 100_000
+    if scheme == "one_sided":
+        cfg = SimConfig(n=20, trials=trials, seed=0, h=h, theta=theta)
+        rate_fine = 1.0 - binary_entropy(0.05)
+        nested = build_nested(20, rate_fine, rate_fine - 0.3, seed=0)
+        code, shifts = nested.coarse, one_sided_shifts(nested)
+        records = run_one_sided(cfg, nested)
+    else:
+        cfg = SimConfig(n=23, trials=trials, seed=0, h=h, theta=theta)
+        code = build_nested(23, 0.4, 0.4, seed=0).coarse
+        shifts = np.zeros(1, dtype=np.uint64)
+        records = run_korner_marton(cfg, code)
+    est = estimate_errors(records)
+    got = (est.eps0, est.eps1, est.bin_rate0, est.bin_rate1)
+    for g, exact in zip(got, scheme_rates(code, h, theta, shifts)):
+        assert abs(g - exact) <= 5.0 * math.sqrt(exact * (1 - exact) / trials)
 
 
 def _span(rows):
