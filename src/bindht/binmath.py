@@ -3,9 +3,14 @@
 Everything is measured in bits (all logarithms base 2).  Probabilities
 live in [0, 1]; the conventions 0*log(0) = 0 and d(p||q) = +inf for
 q in {0, 1} with p != q are applied throughout.  The scalar functions
-check their domain and stay scalar code; the array helpers (`xlogy`,
-`_h_vec`, `_conv_vec`, `binary_divergence_vec`, the inverse entropy) are
-the elementwise building blocks of the kernels and trust their callers.
+check their domain.  The divergence and the convolution then make a
+one-row call into their array kernels, so each has one formula.
+`binary_entropy` and the bisection inverse stay scalar code: the
+bisection calls the entropy some forty times per inverse, and the Stein
+scan calls the inverse once per rate, where a one-row array call costs
+several times the formula.  The array helpers (`xlogy`, `_h_vec`,
+`_conv_vec`, `binary_divergence_vec`, the inverse entropy) are the
+elementwise building blocks of the kernels and trust their callers.
 """
 
 import math
@@ -41,29 +46,12 @@ def binary_divergence(p, q):
 
     Returns +inf when q is degenerate and p differs from it.
     """
-    p = _check_unit(p, "p")
-    q = _check_unit(q, "q")
-    if q == 0.0:
-        return 0.0 if p == 0.0 else math.inf
-    if q == 1.0:
-        return 0.0 if p == 1.0 else math.inf
-    acc = 0.0
-    if p > 0.0:
-        # p / q overflows for a subnormal q; the log difference does not
-        if q < sys.float_info.min:
-            acc += p * (math.log(p) - math.log(q))
-        else:
-            acc += p * math.log(p / q)
-    if p < 1.0:
-        acc += (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
-    return max(acc / _LN2, 0.0)
+    return float(binary_divergence_vec(_check_unit(p, "p"), _check_unit(q, "q")))
 
 
 def binary_convolution(p, q):
     """p * q = p(1-q) + (1-p)q, the crossover of two stacked BSCs."""
-    p = _check_unit(p, "p")
-    q = _check_unit(q, "q")
-    return p * (1.0 - q) + (1.0 - p) * q
+    return float(_conv_vec(_check_unit(p, "p"), _check_unit(q, "q")))
 
 
 def inverse_binary_entropy(y):

@@ -163,8 +163,7 @@ def _ball_type_vec(p, r, w, theta, iters=20):
     r, w, theta = np.broadcast_arrays(
         np.asarray(r, float), np.asarray(w, float), np.asarray(theta, float)
     )
-    sig_typ = w + r - 2.0 * w * r
-    tau_typ = sig_typ + p - 2.0 * p * sig_typ
+    tau_typ = _conv_vec(_conv_vec(w, r), p)
     tau_eval = np.minimum(theta, tau_typ)
     val = _sphere_vec(p, r, w, tau_eval, iters=iters)
     return np.where(theta >= tau_typ, 0.0, val)

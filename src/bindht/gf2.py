@@ -346,26 +346,25 @@ def _cover_score(weights):
     return radius, int(np.count_nonzero(weights == radius))
 
 
-def improve_covering(code, seed=None, rounds=None, candidates=64):
+def improve_covering(code, seed=None):
     """Greedily append generator rows that shrink the covering radius.
 
     Appending a row v merges each coset pair {s, s ^ s(v)}, keeping the
     lighter leader, so candidates are scored on the merged leader-weight
     table without rebuilding anything.  Up to ceil(log2 n) rows are
-    appended; a candidate is accepted only when it strictly improves
-    the (radius, cosets-at-radius) score, so the covering radius never
-    increases and the rate overhead vanishes with n.
+    appended, each the best of 64 random words; a candidate is accepted
+    only when it strictly improves the (radius, cosets-at-radius) score,
+    so the covering radius never increases and the rate overhead
+    vanishes with n.
     """
-    if rounds is None:
-        rounds = int(math.ceil(math.log2(code.n)))
     rng = np.random.default_rng(seed)
     current = code
-    for _ in range(rounds):
+    for _ in range(math.ceil(math.log2(code.n))):
         if current.k == current.n:
             break
         table = coset_table(current)[1].reshape((2,) * (current.n - current.k))
         best, row = _cover_score(table), None
-        for _ in range(candidates):
+        for _ in range(64):
             v = pack_bits(rng.integers(0, 2, size=current.n))
             sv = int(syndromes(current, v))  # 0 for a codeword, never wins
             score = _cover_score(np.minimum(table, _xor_view(table, sv)))

@@ -30,6 +30,7 @@ in a `TrialRecords`.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +42,15 @@ from .regions import HypothesisPair
 
 _SCHEME_IDS = {"one_sided": 0, "korner_marton": 1}
 
-#: trials drawn, or decoded, at a time; bounds the temporaries held
+#: trials drawn and decoded at a time; bounds the temporaries held
 _CHUNK = 4096
 
 #: digit words of p a trial reads per stream level; 2^-_DIGITS of its
 #: lanes are still open after each level
 _DIGITS = 8
 
-#: most trials per hypothesis; a run holds about 35 bytes per trial
+#: most trials per hypothesis; a run peaks at about 8 bytes per record,
+#: 5 in its columns and 3 in the chunks they are joined from
 _MAX_TRIALS = 10_000_000
 
 # two-sided 95% normal quantile for Wilson intervals
@@ -77,6 +79,15 @@ class TrialRecords:
         return len(self.hypothesis)
 
 
+def _check_int(name, value, lo, hi=math.inf):
+    """Refuse a value that is not an integer in [lo, hi]; numpy integers
+    pass."""
+    if not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name}={value!r} is not an integer")
+    if not lo <= value <= hi:
+        raise ParameterError(f"{name}={value} outside [{lo}, {hi}]")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation run: `trials` blocks per hypothesis, decided by
@@ -89,17 +100,14 @@ class SimConfig:
     theta: float
 
     def __post_init__(self):
-        if not (1 <= self.n <= 64):
-            raise ParameterError(f"blocklength {self.n} outside [1, 64]")
-        if self.trials < 1:
-            raise ParameterError(f"trials={self.trials} must be positive")
+        _check_int("blocklength", self.n, 1, 64)
+        _check_int("trials", self.trials, 1)
         if self.trials > _MAX_TRIALS:
             raise ResourceLimitError(
                 f"trials={self.trials} above the limit of {_MAX_TRIALS} "
                 "per hypothesis"
             )
-        if self.seed < 0:
-            raise ParameterError(f"seed={self.seed} must be nonnegative")
+        _check_int("seed", self.seed, 0)
         if not (0.0 <= self.theta <= 1.0):
             raise ParameterError(f"theta={self.theta} outside [0, 1]")
 
@@ -133,12 +141,14 @@ def gen_dsbs(n, p, seed=None):
     drawn by the sampler of `simulate` (`_draw_words`) from the raw
     words of one bit generator, which serves every level in turn.  seed
     may be anything `numpy.random.default_rng` accepts, including an
-    existing Generator, whose bit generator is read in place.
+    existing Generator, whose bit generator is read in place; a number
+    must be a nonnegative integer.
     """
-    if not (1 <= n <= 64):
-        raise ParameterError(f"blocklength {n} outside [1, 64]")
+    _check_int("blocklength", n, 1, 64)
     if not (0.0 <= p <= 1.0):
         raise ParameterError(f"p={p} outside [0, 1]")
+    if isinstance(seed, numbers.Real):
+        _check_int("seed", seed, 0)
     bits = np.random.default_rng(seed).bit_generator
     x, z = _draw_words(lambda level: bits, 1, n, p)
     return int(x[0]), int(x[0] ^ z[0])
@@ -177,7 +187,7 @@ def _draw_words(streams, rows, n, p):
     lane still open then reads up to `_DIGITS` more at each further
     level, trial after trial, until every lane is decided.
     """
-    mask = np.uint64((1 << n) - 1)
+    mask = np.uint64((1 << int(n)) - 1)
     digits = _digits(p)
     d = min(_DIGITS, len(digits))
     words = streams(0).random_raw((rows, 1 + d))
@@ -201,9 +211,10 @@ def _draw_words(streams, rows, n, p):
 
 
 def _draw_run(cfg, scheme_id, hyp, p):
-    """(X, Z) word arrays for one hypothesis from its own streams: level
-    L of `_draw_words` reads the Philox stream keyed by (seed, scheme
-    id, hyp), with L appended from level 1 on."""
+    """(X, Z) word arrays of one hypothesis, `_CHUNK` trials at a time,
+    from its own streams: level L of `_draw_words` reads the Philox
+    stream keyed by (seed, scheme id, hyp), with L appended from level 1
+    on."""
     key = (cfg.seed, scheme_id, hyp)
     made = []
 
@@ -213,12 +224,8 @@ def _draw_run(cfg, scheme_id, hyp, p):
             made.append(np.random.Philox(seq))
         return made[level]
 
-    x = np.empty(cfg.trials, dtype=np.uint64)
-    z = np.empty(cfg.trials, dtype=np.uint64)
     for lo in range(0, cfg.trials, _CHUNK):
-        hi = min(lo + _CHUNK, cfg.trials)
-        x[lo:hi], z[lo:hi] = _draw_words(streams, hi - lo, cfg.n, p)
-    return x, z
+        yield _draw_words(streams, min(_CHUNK, cfg.trials - lo), cfg.n, p)
 
 
 def _run(cfg, scheme_id, code, residual):
@@ -231,11 +238,9 @@ def _run(cfg, scheme_id, code, residual):
     table = coset_table(code)
     chunks = []
     for h, p in ((0, cfg.h.p0), (1, cfg.h.p1)):
-        x, z = _draw_run(cfg, scheme_id, h, p)
-        for lo in range(0, cfg.trials, _CHUNK):
-            zc = z[lo:lo + _CHUNK]
-            err, w_hat = _decode(code, table, residual(x[lo:lo + _CHUNK], zc))
-            chunks.append((err, _popcount64(zc).astype(np.uint8), w_hat))
+        for x, z in _draw_run(cfg, scheme_id, h, p):
+            err, w_hat = _decode(code, table, residual(x, z))
+            chunks.append((err, _popcount64(z).astype(np.uint8), w_hat))
     bin_err, noise_w, decoded_w = (np.concatenate(c) for c in zip(*chunks))
     return TrialRecords(
         n=cfg.n,

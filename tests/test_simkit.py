@@ -9,6 +9,8 @@ and against the exact Bernoulli law.
 """
 
 import math
+import numbers
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -94,6 +96,13 @@ def _keyed_reader(key):
             streams[level] = np.random.Philox(seq)
         return streams[level].random_raw(k).tolist()
     return read
+
+
+def _whole_run(cfg, scheme_id, hyp, p):
+    """(X, Z) word arrays of every trial of one hypothesis: the chunks
+    `_draw_run` yields, joined."""
+    xs, zs = zip(*_draw_run(cfg, scheme_id, hyp, p))
+    return np.concatenate(xs), np.concatenate(zs)
 
 
 def test_gen_dsbs_degenerate_noise():
@@ -211,7 +220,9 @@ def test_draw_run_matches_gen_dsbs_loop(monkeypatch, scheme, hyp, p):
     # level streams; about a tenth of the trials reach level 1 here
     monkeypatch.setattr(bindht.simkit, "_CHUNK", 128)
     cfg = replace(_cfg(trials=300, seed=4), n=27)
-    x, z = _draw_run(cfg, _SCHEME_IDS[scheme], hyp, p)
+    chunks = list(_draw_run(cfg, _SCHEME_IDS[scheme], hyp, p))
+    assert [len(z) for _, z in chunks] == [128, 128, 44]
+    x, z = _whole_run(cfg, _SCHEME_IDS[scheme], hyp, p)
     read = _keyed_reader((4, _SCHEME_IDS[scheme], hyp))
     for t in range(cfg.trials):
         assert (int(x[t]), int(z[t])) == _reference_trial(read, 27, p)
@@ -237,7 +248,7 @@ def test_lane_sampler_follows_bernoulli_law(p):
     # and the covariance of every pair of them, within 5 sd of the exact
     # law; 1e-12 is far below the 1/trials resolution of a rate
     trials = 20_000
-    x, z = _draw_run(replace(_cfg(trials=trials, seed=2), n=64), 0, 0, p)
+    x, z = _whole_run(replace(_cfg(trials=trials, seed=2), n=64), 0, 0, p)
     lanes = np.arange(64, dtype=np.uint64)
     bits = np.concatenate([(x[:, None] >> lanes) & np.uint64(1),
                            (z[:, None] >> lanes) & np.uint64(1)], axis=1)
@@ -255,29 +266,39 @@ def test_lane_sampler_follows_bernoulli_law(p):
 _EDGE_P = (0.0, 0.5, 1.0, 1e-320, math.nan, math.inf, -math.inf, -0.0,
            -0.1, -1e-320)
 
+# refused wherever an integer is expected
+_NOT_COUNTS = (2.5, 10.5, math.nan, -1)
+
+
+def _count_in(v, lo, hi=math.inf):
+    return isinstance(v, numbers.Integral) and lo <= v <= hi
+
 
 @settings(max_examples=200, deadline=None)
 @given(
-    n=st.sampled_from([0, 1, 64, 65]),
+    n=st.sampled_from([0, 1, 64, 65, np.uint8(64), *_NOT_COUNTS]),
     p=st.one_of(st.floats(0.0, 1.0), st.sampled_from(_EDGE_P)),
-    seed=st.integers(0, 2**64),
+    seed=st.one_of(st.integers(0, 2**64),
+                   st.sampled_from([np.int64(3), *_NOT_COUNTS])),
 )
 def test_gen_dsbs_fuzz_ends_in_words_or_refusal(n, p, seed):
     try:
         x, y = gen_dsbs(n, p, seed)
     except (ParameterError, ResourceLimitError):
-        assert not (1 <= n <= 64 and 0.0 <= p <= 1.0)
+        assert not (_count_in(n, 1, 64) and 0.0 <= p <= 1.0
+                    and _count_in(seed, 0))
         return
-    assert 0 <= x < 1 << n and 0 <= y < 1 << n
+    assert 0 <= x < 1 << int(n) and 0 <= y < 1 << int(n)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    n=st.sampled_from([0, 1, 64, 65]),
+    n=st.sampled_from([0, 1, 64, 65, np.uint8(64), *_NOT_COUNTS]),
     ps=st.lists(st.one_of(st.floats(0.0, 0.5), st.sampled_from(_EDGE_P)),
                 min_size=2, max_size=2),
     theta=st.one_of(st.floats(0.0, 1.0), st.sampled_from(_EDGE_P)),
-    trials=st.sampled_from([-1, 0, 1, 130, _MAX_TRIALS + 1]),
+    trials=st.sampled_from([0, 1, 130, _MAX_TRIALS + 1, np.int64(130),
+                            *_NOT_COUNTS]),
     seed=st.integers(-1, 2**64),
 )
 def test_sim_config_fuzz_draws_words_or_refuses(n, ps, theta, trials, seed):
@@ -289,7 +310,7 @@ def test_sim_config_fuzz_draws_words_or_refuses(n, ps, theta, trials, seed):
     except (ParameterError, ResourceLimitError):
         return
     for hyp, p in ((0, cfg.h.p0), (1, cfg.h.p1)):
-        for words in _draw_run(cfg, 0, hyp, p):
+        for words in _whole_run(cfg, 0, hyp, p):
             assert len(words) == trials
             # two shifts, since one by 64 bits is undefined
             assert not (words >> np.uint64(1) >> np.uint64(n - 1)).any()
@@ -307,10 +328,28 @@ def test_records_independent_of_chunk_size(monkeypatch):
             assert _same_records(run(cfg, decode_code), want)
 
 
+def test_run_holds_no_whole_run_words():
+    # each chunk is decoded as it is drawn, so the peak holds the record
+    # columns and the chunks they are joined from (8 B per record), not
+    # 16 B of X and Z words per trial; the leader table is built first
+    h = HypothesisPair(0.01, 0.25)
+    rate_fine = 1.0 - binary_entropy(0.05)
+    nested = build_nested(27, rate_fine, rate_fine - 0.3, seed=1)
+    run_one_sided(SimConfig(n=27, trials=1, seed=1, h=h, theta=0.1), nested)
+    cfg = SimConfig(n=27, trials=200_000, seed=1, h=h, theta=0.1)
+    tracemalloc.start()
+    try:
+        records = run_one_sided(cfg, nested)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * len(records)
+
+
 def test_hypotheses_and_schemes_draw_different_words():
     cfg = _cfg()
     words = [
-        _draw_run(cfg, scheme_id, hyp, 0.1)[0].tobytes()
+        _whole_run(cfg, scheme_id, hyp, 0.1)[0].tobytes()
         for scheme_id in _SCHEME_IDS.values() for hyp in (0, 1)
     ]
     assert len(set(words)) == 4
@@ -442,7 +481,7 @@ def _brute_records(cfg, scheme, decode):
     k_acc = _accept_weight(cfg.n, cfg.theta)
     cols = []
     for hyp, p in ((0, cfg.h.p0), (1, cfg.h.p1)):
-        xs, zs = _draw_run(cfg, _SCHEME_IDS[scheme], hyp, p)
+        xs, zs = _whole_run(cfg, _SCHEME_IDS[scheme], hyp, p)
         for x, z in zip(xs.tolist(), zs.tolist()):
             y = x ^ z
             est, truth = decode(x, y)
