@@ -20,7 +20,12 @@ from .binmath import (
     gv_distance,
     inverse_binary_entropy,
 )
-from .errors import LengthMismatchError, ParameterError, ResourceLimitError
+from .errors import (
+    LengthMismatchError,
+    ParameterError,
+    ResourceLimitError,
+    check_closed,
+)
 from .exponents import best_channel_exponent, type_noise_ball_exponent
 from .gf2 import build_nested
 from .oracle import (
@@ -33,7 +38,6 @@ from .regions import (
     SCHEMES,
     HypothesisPair,
     SchemeParams,
-    _check_rate,
     baseline_pair,
     one_sided_pair,
     stein_sweep,
@@ -132,7 +136,7 @@ def cmd_exponents(args):
     schemes = args.scheme or list(SCHEMES)
     if {"one_sided", "symmetric"} & set(schemes):
         # their params would name the budget rate_x, a field users never set
-        _check_rate(rate)
+        check_closed("rate", rate, 0, 1)
     rows = []
     for scheme in schemes:
         if scheme == "unconstrained":
@@ -213,7 +217,7 @@ def cmd_simulate(args):
     if len(args.scheme or ()) > 1:
         raise ParameterError("simulate runs one --scheme at a time")
     scheme = (args.scheme or ["one_sided"])[0]
-    _check_rate(rate)
+    check_closed("rate", rate, 0, 1)
     # --a and --threshold fit the rate budget; the codes carry a and rate
     SchemeParams(a=args.a, theta=args.threshold, rate_x=rate)
     cfg = SimConfig(
@@ -347,10 +351,6 @@ def _check_formula_convergence():
     return None
 
 
-def _fail_on_purpose():
-    return "failure injection requested"
-
-
 def cmd_validate(args):
     checks = [
         ("binmath identities", _check_binmath_identities),
@@ -364,8 +364,6 @@ def cmd_validate(args):
             ("exhaustive enumeration equality", _check_enumeration_equality),
             ("ball probability convergence", _check_formula_convergence),
         ]
-    if args.inject_failure:
-        checks.append(("failure injection", _fail_on_purpose))
     failures = 0
     for name, fn in checks:
         detail = fn()
@@ -461,9 +459,6 @@ def build_parser():
 
     p_val = sub.add_parser("validate", help="run the self-check suites")
     p_val.add_argument("--level", choices=("fast", "full"), default="fast")
-    p_val.add_argument(
-        "--inject-failure", action="store_true", help=argparse.SUPPRESS
-    )
     p_val.set_defaults(func=cmd_validate)
     return parser
 

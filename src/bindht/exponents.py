@@ -44,7 +44,7 @@ from .binmath import (
     inverse_binary_entropy_vec,
     xlogy,
 )
-from .errors import ParameterError
+from .errors import ParameterError, check_closed
 from .optim import golden_min_vec
 
 #: cap on the expurgated-exponent slope rho (s = 1/rho stays >= 1/RHO_MAX)
@@ -208,13 +208,11 @@ def weight_difference_exponent(p, alpha, beta, tau):
     tau lies outside [-beta, alpha].
     """
     p = _check_unit(p, "p")
-    if alpha < -DOMAIN_TOL or beta < -DOMAIN_TOL:
-        raise ParameterError("alpha and beta must be nonnegative")
+    alpha = _check_unit(alpha, "alpha")
+    beta = _check_unit(beta, "beta")
     if alpha + beta > 1.0 + DOMAIN_TOL:
         raise ParameterError(f"alpha+beta={alpha + beta!r} exceeds 1")
-    alpha = max(float(alpha), 0.0)
-    beta = max(float(beta), 0.0)
-    tau = float(tau)
+    tau = float(check_closed("tau", tau, -math.inf, math.inf))
     if tau < -beta - DOMAIN_TOL or tau > alpha + DOMAIN_TOL:
         return math.inf
     if p == 0.0:

@@ -1,15 +1,16 @@
 """GF(2) linear codes: syndromes, coset leaders, quantizers, nesting.
 
 Words and matrix rows are packed with bit j holding coordinate j, so
-XOR is vector addition and a popcount is the Hamming weight.  Rows are
-plain Python ints; words are uint64, and `syndromes`, `quantize` and
-`row_parities` take an int or an array of words.  A code is its
-generator G; its parity check H is derived from the reduced echelon
-form of G, so G alone fixes the syndrome map s(x) = x H^T, whose bit i
-is the parity of row i against x (an XOR of per-byte tables cached per
-matrix).  Coset leaders (minimum-weight coset members, ties to the
-lexicographically smallest vector) come from a table built in one pass
-per code column, cached per code.
+XOR is vector addition and a popcount is the Hamming weight.  A word is
+one uint64, so `BitMatrix` refuses a width outside [1, WORD_BITS], and
+no code is longer than 64 bits.  Rows are plain Python ints;
+`syndromes`, `quantize` and `row_parities` take an int or an array of
+words.  A code is its generator G; its parity check H is derived from
+the reduced echelon form of G, so G alone fixes the syndrome map
+s(x) = x H^T, whose bit i is the parity of row i against x (an XOR of
+per-byte tables cached per matrix).  Coset leaders (minimum-weight coset
+members, ties to the lexicographically smallest vector) come from a
+table built in one pass per code column, cached per code.
 
 ``build_nested`` draws a pair of codes sharing generator rows so the
 coarse code is a subcode of the fine one; each derives its own parity
@@ -33,7 +34,12 @@ from .errors import (
     ParameterError,
     ResourceLimitError,
     SamplingFailureError,
+    check_int,
 )
+
+#: bits of one packed word: the most columns of a matrix, so the longest
+#: code and simulated block
+WORD_BITS = 64
 
 #: widest syndrome for which the full leader table is materialized
 _TABLE_BITS = 22
@@ -56,28 +62,26 @@ def pack_bits(bits):
 
 @dataclass(frozen=True)
 class BitMatrix:
-    """Binary matrix with one packed int per row (bit j = column j)."""
+    """Binary matrix with one packed int per row (bit j = column j) and
+    1 to WORD_BITS columns."""
 
     rows: int
     cols: int
     bits: tuple
 
     def __post_init__(self):
-        if self.cols < 1:
-            raise ParameterError(f"cols={self.cols} must be positive")
-        if self.rows < 0 or len(self.bits) != self.rows:
+        cols = check_int("cols", self.cols, 1, WORD_BITS)
+        if check_int("rows", self.rows, 0) != len(self.bits):
             raise ParameterError(
                 f"expected {self.rows} packed rows, got {len(self.bits)}"
             )
         for r in self.bits:
-            if r < 0 or r >> self.cols:
-                raise ParameterError(
-                    f"row {r:#x} does not fit in {self.cols} columns"
-                )
+            check_int("row", r, 0, (1 << cols) - 1)
 
     @classmethod
     def from_rows(cls, rows, cols):
-        return cls(len(rows), cols, tuple(int(r) for r in rows))
+        bits = tuple(check_int("row", r, 0) for r in rows)
+        return cls(len(bits), cols, bits)
 
 
 def _rref(rows, cols):
@@ -171,12 +175,8 @@ class CodeDiagnostics:
 
 def sample_random_linear_code(n, k, seed=None):
     """Uniform random full-rank [n, k] code; rejection on rank failure."""
-    try:
-        n, k = operator.index(n), operator.index(k)
-    except TypeError:
-        raise ParameterError(f"need integers, got n={n!r} k={k!r}") from None
-    if not (1 <= k <= n):
-        raise ParameterError(f"need 1 <= k <= n, got k={k} n={n}")
+    n = check_int("n", n, 1, WORD_BITS)
+    k = check_int("k", k, 1, n)
     rng = np.random.default_rng(seed)
     for _ in range(_SAMPLE_TRIES):
         rows = [pack_bits(rng.integers(0, 2, size=n)) for _ in range(k)]
@@ -271,10 +271,9 @@ def _leader_data(code):
     above j.  So T_j(s) = T_{j+1}(s ^ c_j) + {j} when that word is
     strictly lighter than T_{j+1}(s), and T_j(s) = T_{j+1}(s) otherwise:
     one pass per column, from n - 1 down to 0, compares weights alone.
+    Leaders are packed into uint64, which holds every code (n <= 64).
     """
     n = code.n
-    if n > 64:
-        raise ResourceLimitError("leader tables support blocklengths up to 64")
     shape = (2,) * (n - code.k)
     leaders = np.zeros(shape, dtype=np.uint64)
     weights = np.full(shape, n + 1, dtype=np.uint8)  # heavier than any word
@@ -384,6 +383,7 @@ def build_nested(n, rate_fine, rate_coarse, seed=None):
     The coarse generator forms the bottom rows of the fine one, so
     containment holds by construction.
     """
+    n = check_int("n", n, 1)
     if not (0.0 <= rate_coarse <= rate_fine <= 1.0):
         raise ParameterError(
             f"need 0 <= coarse <= fine <= 1, got {rate_coarse}, {rate_fine}"

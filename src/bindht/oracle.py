@@ -33,11 +33,10 @@ its acceptance rule, `_accept_weight`.
 
 import functools
 import math
-import operator
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError, ResourceLimitError, check_closed, check_int
 
 #: largest blocklength for exhaustive (U, Z) enumeration
 ENUM_MAX_N = 12
@@ -50,24 +49,17 @@ _LOG_FACT = np.zeros(1)
 
 
 def _check_query(n, a_count, w_counts, t_count, ps):
-    """Refuse a query: blocklength n, counts na/nw/nt in [0, n]
+    """Refuse a query: blocklength n >= 1, counts na/nw/nt in [0, n]
     (integers of any integer type), crossovers p in [0, 1]; nw and p
-    are lists, each entry checked as a scalar."""
-    counts = [
-        ("a_count", a_count), *(("w_count", v) for v in w_counts),
-        ("t_count", t_count),
-    ]
-    _require_int("n", n)
-    for name, v in counts:
-        _require_int(name, v)
-    if n < 1:
-        raise ParameterError(f"n={n} must be positive")
-    for name, v in counts:
-        if not (0 <= v <= n):
-            raise ParameterError(f"{name}={v} outside [0, {n}]")
+    are lists, each entry checked as a scalar.  Returns n, na and the
+    nw entries as ints."""
+    n = check_int("n", n, 1)
+    na = check_int("a_count", a_count, 0, n)
+    ws = [check_int("w_count", w, 0, n) for w in w_counts]
+    check_int("t_count", t_count, 0, n)
     for p in ps:
-        if not (0.0 <= p <= 1.0):
-            raise ParameterError(f"p={p} outside [0, 1]")
+        check_closed("p", p, 0, 1)
+    return n, na, ws
 
 
 def _pmf_query(n, a_count, w_count, p):
@@ -79,23 +71,12 @@ def _pmf_query(n, a_count, w_count, p):
                 f"{name} must be a scalar or 1-D, got {np.shape(v)}"
             )
     ws, ps = [list(v) if np.ndim(v) else [v] for v in (w_count, p)]
-    _check_query(n, a_count, ws, 0, ps)
-    return (
-        operator.index(n), operator.index(a_count),
-        [operator.index(w) for w in ws], ps,
-    )
+    return (*_check_query(n, a_count, ws, 0, ps), ps)
 
 
 def _squeeze(out, w_count, p):
     """Drop the leading axis a scalar w_count or p adds."""
     return out[tuple(slice(None) if np.ndim(v) else 0 for v in (w_count, p))]
-
-
-def _require_int(name, v):
-    try:
-        operator.index(v)
-    except TypeError:
-        raise ParameterError(f"{name}={v!r} is not an integer") from None
 
 
 def _log_comb(n, k):
@@ -251,17 +232,22 @@ def _xor_counts(n, a_count):
     patterns, is counted.  A cell is (wt(z) << n) | (U ^ z), at most
     ENUM_MAX_N * 2^ENUM_MAX_N + 2^ENUM_MAX_N - 1 = 53,247, so cells fit
     uint16.  Only the last table is kept: callers regroup it for every
-    center weight of one (n, a_count) at once.
+    center weight of one (n, a_count) at once.  The blocks are written
+    into one buffer and counted in place, so no block allocates: a fresh
+    temporary per block made the count's speed hinge on the allocator's
+    state.
     """
     zs = np.arange(1 << n, dtype=np.uint16)
     pc = _popcounts(n)
     jshift = pc.astype(np.uint16) << np.uint16(n)
     us = zs[pc == a_count]
     counts = np.zeros((n + 1) << n, dtype=np.int64)
-    rows = max(1, _ENUM_BLOCK >> n)
-    for i in range(0, len(us), rows):
-        cells = (us[i: i + rows, None] ^ zs[None, :]) | jshift
-        counts += np.bincount(cells.ravel(), minlength=len(counts))
+    cells = np.empty((max(1, _ENUM_BLOCK >> n), 1 << n), dtype=np.uint16)
+    for i in range(0, len(us), len(cells)):
+        block = cells[:len(us) - i]
+        np.bitwise_xor(us[i: i + len(block), None], zs, out=block)
+        block |= jshift
+        np.add.at(counts, block, 1)
     table = counts.reshape(n + 1, 1 << n)
     table.flags.writeable = False
     return table
@@ -351,7 +337,6 @@ def np_exact_log2_errors(n, p0, p1, theta):
 
 
 def _check_threshold_test(n, p0, p1, theta):
-    _check_query(n, 0, [0], 0, [])
+    check_int("n", n, 1)
     for name, v in (("p0", p0), ("p1", p1), ("theta", theta)):
-        if not (0.0 <= v <= 1.0):
-            raise ParameterError(f"{name}={v} outside [0, 1]")
+        check_closed(name, v, 0, 1)

@@ -35,7 +35,7 @@ from .binmath import (
     gv_distance,
     inverse_binary_entropy_vec,
 )
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError, ResourceLimitError, check_closed, check_int
 from .exponents import _ball_type_vec, _shell_row_min, best_channel_exponent_vec
 
 #: grid points one `tradeoff_curve` call, or level rows one Stein sweep,
@@ -79,12 +79,9 @@ class SchemeParams:
     rate_x: float
 
     def __post_init__(self):
-        if not (0.0 <= self.a <= 0.5 + DOMAIN_TOL):
-            raise ParameterError(f"a={self.a} outside [0, 1/2]")
-        if not (0.0 <= self.rate_x <= 1.0 + DOMAIN_TOL):
-            raise ParameterError(f"rate_x={self.rate_x} outside [0, 1]")
-        if not (0.0 <= self.theta <= 1.0):
-            raise ParameterError(f"theta={self.theta} outside [0, 1]")
+        check_closed("a", self.a, 0, 0.5 + DOMAIN_TOL)
+        check_closed("rate_x", self.rate_x, 0, 1 + DOMAIN_TOL)
+        check_closed("theta", self.theta, 0, 1)
         raw_bin = 1.0 - binary_entropy(self.a) - self.rate_x
         if raw_bin < -1e-6:
             raise ParameterError(
@@ -126,7 +123,7 @@ def unconstrained_pair(h, theta):
 
 def baseline_pair(h, rate, theta):
     """Rate-R time sharing of the unconstrained test (send R n raw bits)."""
-    _check_rate(rate)
+    check_closed("rate", rate, 0, 1)
     if not (h.p0 < theta < h.p1):
         raise ParameterError(
             f"theta={theta} outside the open interval ({h.p0}, {h.p1})"
@@ -328,21 +325,22 @@ def _symmetric_stein(p1, p0, rate):
     return np.minimum(han, ec)
 
 
-def stein_sweep(p1, rate, p0_lo, p0_hi, npts, alphas=None):
+def stein_sweep(p1, rate, p0_lo, p0_hi, npts):
     """Stein columns at npts values of p0 from p0_lo to p0_hi.
 
     Returns a dict of arrays aligned with its "p0" entry: the
     unconstrained reference and the time-sharing maxima of the new
     bound, the prior benchmark and the equal-rate (a = 0) variant, as
-    in `stein_columns`.  Every (p0, alpha) cell is evaluated in batches
-    of ``_STEIN_CHUNK`` cells.  A sweep that would evaluate more than
+    in `stein_columns`.  Every (p0, alpha) cell, alpha on the
+    `default_alpha_grid` of the rate, is evaluated in batches of
+    ``_STEIN_CHUNK`` cells.  A sweep that would evaluate more than
     ``_MAX_CURVE_ROWS`` level rows (``_STEIN_LEVELS`` per cell) is
     refused.
     """
-    _check_rate(rate)
-    if alphas is None:
-        alphas = default_alpha_grid(rate)
-    alphas = np.asarray(alphas, float)
+    # the time-sharing grid runs from rate to 1
+    check_closed("rate", rate, 0, 1)
+    npts = check_int("npts", npts, 1)
+    alphas = default_alpha_grid(rate)
     rows = npts * alphas.size * _STEIN_LEVELS
     if rows > _MAX_CURVE_ROWS:
         raise ResourceLimitError(
@@ -372,7 +370,7 @@ def stein_sweep(p1, rate, p0_lo, p0_hi, npts, alphas=None):
     }
 
 
-def stein_columns(h, rate, alphas=None):
+def stein_columns(h, rate):
     """Time-shared Stein columns on one shared alpha grid.
 
     Returns the unconstrained reference together with the time-sharing
@@ -385,14 +383,8 @@ def stein_columns(h, rate, alphas=None):
     ordering is the ordering of the underlying terms rather than an
     optimizer artifact.
     """
-    cols = stein_sweep(h.p1, rate, h.p0, h.p0, 1, alphas)
+    cols = stein_sweep(h.p1, rate, h.p0, h.p0, 1)
     return {key: float(col[0]) for key, col in cols.items() if key != "p0"}
-
-
-def _check_rate(rate):
-    """The time-sharing grid runs from rate to 1, so rate must lie in [0, 1]."""
-    if not (0.0 <= rate <= 1.0):
-        raise ParameterError(f"rate={rate!r} outside [0, 1]")
 
 
 def default_alpha_grid(rate, npts=33):
@@ -450,9 +442,10 @@ def tradeoff_curve(scheme, h, rate, resolution=200, a_points=25,
     """
     if scheme not in SCHEMES:
         raise ParameterError(f"unknown scheme {scheme!r}")
-    _check_rate(rate)
-    if resolution < 2:
-        raise ParameterError("resolution must be at least 2")
+    check_closed("rate", rate, 0, 1)
+    resolution = check_int("resolution", resolution, 2)
+    a_points = check_int("a_points", a_points, 1)
+    alpha_points = check_int("alpha_points", alpha_points, 1)
     n_a = a_points if scheme == "one_sided" else 1
     rows = resolution
     if scheme in ("one_sided", "symmetric"):
@@ -547,6 +540,7 @@ def pareto_points(pts):
 
 def curve_value_at(curve, e0):
     """Interpolated miss exponent of a frontier at false-alarm exponent e0."""
+    check_closed("e0", e0, -math.inf, math.inf)
     order = np.argsort(curve.e0)
     xs, ys = curve.e0[order], curve.e1[order]
     if e0 <= xs[0]:

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError
-from .gf2 import _popcount64, coset_table, quantize, syndromes
+from .errors import ParameterError, ResourceLimitError, check_closed, check_int
+from .gf2 import WORD_BITS, _popcount64, coset_table, quantize, syndromes
 from .oracle import _accept_weight
 from .regions import HypothesisPair
 
@@ -79,15 +79,6 @@ class TrialRecords:
         return len(self.hypothesis)
 
 
-def _check_int(name, value, lo, hi=math.inf):
-    """Refuse a value that is not an integer in [lo, hi]; numpy integers
-    pass."""
-    if not isinstance(value, numbers.Integral):
-        raise ParameterError(f"{name}={value!r} is not an integer")
-    if not lo <= value <= hi:
-        raise ParameterError(f"{name}={value} outside [{lo}, {hi}]")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation run: `trials` blocks per hypothesis, decided by
@@ -100,16 +91,15 @@ class SimConfig:
     theta: float
 
     def __post_init__(self):
-        _check_int("blocklength", self.n, 1, 64)
-        _check_int("trials", self.trials, 1)
+        check_int("blocklength", self.n, 1, WORD_BITS)
+        check_int("trials", self.trials, 1)
         if self.trials > _MAX_TRIALS:
             raise ResourceLimitError(
                 f"trials={self.trials} above the limit of {_MAX_TRIALS} "
                 "per hypothesis"
             )
-        _check_int("seed", self.seed, 0)
-        if not (0.0 <= self.theta <= 1.0):
-            raise ParameterError(f"theta={self.theta} outside [0, 1]")
+        check_int("seed", self.seed, 0)
+        check_closed("theta", self.theta, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -144,11 +134,10 @@ def gen_dsbs(n, p, seed=None):
     existing Generator, whose bit generator is read in place; a number
     must be a nonnegative integer.
     """
-    _check_int("blocklength", n, 1, 64)
-    if not (0.0 <= p <= 1.0):
-        raise ParameterError(f"p={p} outside [0, 1]")
+    check_int("blocklength", n, 1, WORD_BITS)
+    check_closed("p", p, 0, 1)
     if isinstance(seed, numbers.Real):
-        _check_int("seed", seed, 0)
+        check_int("seed", seed, 0)
     bits = np.random.default_rng(seed).bit_generator
     x, z = _draw_words(lambda level: bits, 1, n, p)
     return int(x[0]), int(x[0] ^ z[0])

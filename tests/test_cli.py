@@ -771,11 +771,14 @@ def test_validate_fast_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_validate_injected_failure(capsys):
-    code, out, _ = _run(capsys, "validate", "--inject-failure")
+def test_validate_injected_failure(capsys, monkeypatch):
+    monkeypatch.setattr(
+        bindht.cli, "_check_capacity_zero", lambda: "planted failure"
+    )
+    code, out, _ = _run(capsys, "validate")
     assert code == 1
-    assert "FAIL failure injection" in out
-    assert "5/6 checks passed" in out
+    assert "FAIL channel exponent zero at capacity: planted failure\n" in out
+    assert "4/5 checks passed" in out
 
 
 def test_validate_full_passes(capsys):

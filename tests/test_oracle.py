@@ -535,7 +535,7 @@ def test_pmf_routes_refuse_as_the_query_does(fn, args):
 @pytest.mark.parametrize(
     "args, message",
     [
-        ((0, 0.1, 0.2, 0.5), "n=0 must be positive"),
+        ((0, 0.1, 0.2, 0.5), r"n=0 outside \[1, inf\]"),
         ((2.5, 0.1, 0.2, 0.5), "n=2.5 is not an integer"),
         ((10, 2.0, 0.2, 0.5), r"p0=2.0 outside \[0, 1\]"),
         ((10, 0.1, 0.2, float("nan")), r"theta=nan outside \[0, 1\]"),

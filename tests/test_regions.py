@@ -539,16 +539,11 @@ def test_stein_columns_match_per_alpha_loop(p1, rate):
         assert stein_columns(h, rate) == want, (p0, p1, rate)
 
 
-@pytest.mark.parametrize("h, rate, alphas", [
-    (FIG_A, 0.3, [0.3, 0.45, 0.7, 1.0]),
+def test_stein_columns_match_per_alpha_loop_cases():
     # at p1 = 0.1 both bounds pick the same center in some rounds
-    (FIG_B, 0.3, None),
-])
-def test_stein_columns_match_per_alpha_loop_cases(h, rate, alphas):
-    want, shared = _ref_stein_columns(h, rate, alphas)
-    assert stein_columns(h, rate, alphas) == want
-    if alphas is None:
-        assert shared > 0
+    want, shared = _ref_stein_columns(FIG_B, 0.3)
+    assert stein_columns(FIG_B, 0.3) == want
+    assert shared > 0
 
 
 def test_stein_sweep_chunks_match_single_cells(monkeypatch):
@@ -571,9 +566,6 @@ def test_stein_rejects_work_above_bound(npts):
     # refused before the p0 grid is built or any level is evaluated
     with pytest.raises(ResourceLimitError, match="above the limit"):
         stein_sweep(0.25, 0.3, 0.005, 0.05, npts)
-    alphas = np.ones(_MAX_CURVE_ROWS // _STEIN_LEVELS + 1)
-    with pytest.raises(ResourceLimitError, match="above the limit"):
-        stein_columns(FIG_A, 0.3, alphas)
 
 
 def _scan_frontier(rows):
