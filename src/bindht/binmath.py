@@ -6,11 +6,12 @@ q in {0, 1} with p != q are applied throughout.  The scalar functions
 check their domain.  The divergence and the convolution then make a
 one-row call into their array kernels, so each has one formula.
 `binary_entropy` and the bisection inverse stay scalar code: the
-bisection calls the entropy some forty times per inverse, and the Stein
-scan calls the inverse once per rate, where a one-row array call costs
-several times the formula.  The array helpers (`xlogy`, `_h_vec`,
-`_conv_vec`, `binary_divergence_vec`, the inverse entropy) are the
-elementwise building blocks of the kernels and trust their callers.
+bisection reads the entropy formula, without the check, some forty
+times per inverse, and the Stein scan calls the inverse once per rate,
+where a one-row array call costs several times the formula.  The array
+helpers (`xlogy`, `_h_vec`, `_conv_vec`, `binary_divergence_vec`, the
+inverse entropy) are the elementwise building blocks of the kernels
+and trust their callers.
 """
 
 import math
@@ -18,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import check_closed
 
 #: absolute slack accepted on probability / rate domain checks
 DOMAIN_TOL = 1e-9
@@ -28,17 +29,20 @@ _LN4 = math.log(4.0)
 
 
 def _check_unit(x, name, hi=1.0):
-    if not (-DOMAIN_TOL <= x <= hi + DOMAIN_TOL):
-        raise ParameterError(f"{name}={x!r} outside [0, {hi:g}]")
+    check_closed(name, x, 0.0, hi, tol=DOMAIN_TOL)
     return min(max(float(x), 0.0), hi)
+
+
+def _entropy(p):
+    """h(p) for a float p in [0, 1], unchecked."""
+    if p == 0.0 or p == 1.0:
+        return 0.0
+    return (-p * math.log(p) - (1.0 - p) * math.log(1.0 - p)) / _LN2
 
 
 def binary_entropy(p):
     """h(p) = p log(1/p) + (1-p) log(1/(1-p)) in bits."""
-    p = _check_unit(p, "p")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return (-p * math.log(p) - (1.0 - p) * math.log(1.0 - p)) / _LN2
+    return _entropy(_check_unit(p, "p"))
 
 
 def binary_divergence(p, q):
@@ -67,7 +71,7 @@ def inverse_binary_entropy(y):
     lo, hi = 0.0, 0.5
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < y:
+        if _entropy(mid) < y:
             lo = mid
         else:
             hi = mid

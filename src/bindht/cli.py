@@ -119,11 +119,11 @@ def _need(args, *keys):
 def _parse_sweep(text):
     """A sweep flag is either one float or a lo:hi range."""
     parts = text.split(":")
-    if len(parts) == 1:
-        v = float(parts[0])
-        return v, v
-    if len(parts) == 2:
-        return float(parts[0]), float(parts[1])
+    try:
+        if len(parts) <= 2:
+            return float(parts[0]), float(parts[-1])
+    except ValueError:
+        pass
     raise ParameterError(f"cannot parse sweep {text!r}, use VALUE or LO:HI")
 
 

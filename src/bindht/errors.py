@@ -30,10 +30,15 @@ def check_int(name, value, lo, hi=math.inf):
     return int(value)
 
 
-def check_closed(name, value, lo, hi):
-    """Refuse a value outside [lo, hi] with a ParameterError; NaN is
-    outside every interval.  The bounds print to six digits, so a
-    tolerance added to one does not show."""
-    if not lo <= value <= hi:
+def check_closed(name, value, lo, hi, tol=0):
+    """Refuse a value outside [lo - tol, hi + tol] with a ParameterError,
+    NaN included, and one that does not compare as a number (a string,
+    None, a complex, a list, an array of several entries).  The message
+    names [lo, hi] to six digits."""
+    try:
+        inside = lo - tol <= value <= hi + tol
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name}={value!r} is not a number") from None
+    if not inside:
         raise ParameterError(f"{name}={value} outside [{lo:g}, {hi:g}]")
     return value

@@ -44,7 +44,7 @@ from .binmath import (
     inverse_binary_entropy_vec,
     xlogy,
 )
-from .errors import ParameterError, check_closed
+from .errors import check_closed
 from .optim import golden_min_vec
 
 #: cap on the expurgated-exponent slope rho (s = 1/rho stays >= 1/RHO_MAX)
@@ -73,11 +73,14 @@ def _ew_vec(p, alpha, beta, tau):
 
     Minimizes alpha d(x/alpha||p) + beta d((x-tau)/beta||p) over the
     feasible x; the stationary point solves a quadratic, and endpoints
-    are always checked.  Requires 0 < p < 1.
+    are always checked.  Requires 0 < p < 1.  A p above 1/2 flips every
+    bit: W1 - W2 = n tau exactly when W1' - W2' = n (alpha - beta - tau).
     """
     alpha, beta, tau = np.broadcast_arrays(
         np.asarray(alpha, float), np.asarray(beta, float), np.asarray(tau, float)
     )
+    if p > 0.5:
+        p, tau = 1.0 - p, alpha - beta - tau
     lo = np.maximum(0.0, tau)
     hi = np.minimum(alpha, beta + tau)
     feasible = hi >= lo - 1e-12
@@ -97,19 +100,12 @@ def _ew_vec(p, alpha, beta, tau):
         with np.errstate(divide="ignore", invalid="ignore"):
             root = np.where(np.abs(b_coef) > 0.0, -c_coef / b_coef, lo)
         best = f(root)
-    elif p < 0.5:
-        # roots have opposite signs (product c/a < 0); only the
-        # positive one can be stationary on the feasible range
+    else:
+        # p < 1/2, so the roots have opposite signs (product c/a < 0);
+        # only the positive one can be stationary on the feasible range
         disc = np.maximum(b_coef * b_coef - 4.0 * a_coef * c_coef, 0.0)
         sq = np.sqrt(disc)
         best = f((-b_coef + sq) / (2.0 * a_coef))
-    else:
-        disc = np.maximum(b_coef * b_coef - 4.0 * a_coef * c_coef, 0.0)
-        sq = np.sqrt(disc)
-        best = np.minimum(
-            f((-b_coef + sq) / (2.0 * a_coef)),
-            f((-b_coef - sq) / (2.0 * a_coef)),
-        )
     return np.where(feasible, np.maximum(best, 0.0), np.inf)
 
 
@@ -210,8 +206,7 @@ def weight_difference_exponent(p, alpha, beta, tau):
     p = _check_unit(p, "p")
     alpha = _check_unit(alpha, "alpha")
     beta = _check_unit(beta, "beta")
-    if alpha + beta > 1.0 + DOMAIN_TOL:
-        raise ParameterError(f"alpha+beta={alpha + beta!r} exceeds 1")
+    check_closed("alpha+beta", alpha + beta, 0.0, 1.0, tol=DOMAIN_TOL)
     tau = float(check_closed("tau", tau, -math.inf, math.inf))
     if tau < -beta - DOMAIN_TOL or tau > alpha + DOMAIN_TOL:
         return math.inf

@@ -34,6 +34,7 @@ from .errors import (
     ParameterError,
     ResourceLimitError,
     SamplingFailureError,
+    check_closed,
     check_int,
 )
 
@@ -120,8 +121,7 @@ class LinearCode:
 
     def __post_init__(self):
         n = self.n
-        if not self.k:
-            raise ParameterError(f"need 1 <= k <= n, got k=0 n={n}")
+        check_int("k", self.k, 1)
         rref, pivots = _rref(self.G.bits, n)
         if len(rref) != self.k:
             raise ParameterError("generator is rank deficient")
@@ -384,10 +384,8 @@ def build_nested(n, rate_fine, rate_coarse, seed=None):
     containment holds by construction.
     """
     n = check_int("n", n, 1)
-    if not (0.0 <= rate_coarse <= rate_fine <= 1.0):
-        raise ParameterError(
-            f"need 0 <= coarse <= fine <= 1, got {rate_coarse}, {rate_fine}"
-        )
+    check_closed("rate_fine", rate_fine, 0, 1)
+    check_closed("rate_coarse", rate_coarse, 0, rate_fine)
     k2 = int(round(n * rate_coarse))
     k1 = max(int(round(n * rate_fine)), k2)
     if k2 < 1:

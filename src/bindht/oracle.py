@@ -51,15 +51,16 @@ _LOG_FACT = np.zeros(1)
 def _check_query(n, a_count, w_counts, t_count, ps):
     """Refuse a query: blocklength n >= 1, counts na/nw/nt in [0, n]
     (integers of any integer type), crossovers p in [0, 1]; nw and p
-    are lists, each entry checked as a scalar.  Returns n, na and the
-    nw entries as ints."""
+    are lists, each entry checked as a scalar.  Returns n, na, the nw
+    entries and nt as ints, so no numpy integer type reaches the count
+    arithmetic, where a narrow one would wrap."""
     n = check_int("n", n, 1)
     na = check_int("a_count", a_count, 0, n)
     ws = [check_int("w_count", w, 0, n) for w in w_counts]
-    check_int("t_count", t_count, 0, n)
+    nt = check_int("t_count", t_count, 0, n)
     for p in ps:
         check_closed("p", p, 0, 1)
-    return n, na, ws
+    return n, na, ws, nt
 
 
 def _pmf_query(n, a_count, w_count, p):
@@ -71,7 +72,7 @@ def _pmf_query(n, a_count, w_count, p):
                 f"{name} must be a scalar or 1-D, got {np.shape(v)}"
             )
     ws, ps = [list(v) if np.ndim(v) else [v] for v in (w_count, p)]
-    return (*_check_query(n, a_count, ws, 0, ps), ps)
+    return (*_check_query(n, a_count, ws, 0, ps)[:3], ps)
 
 
 def _squeeze(out, w_count, p):
@@ -171,10 +172,8 @@ def _log_mixture(n, na, nw, nt, p, ball):
 
 def exact_mixed_noise_pmf(n, a_count, w_count, t_count, p):
     """P(wt(c + U + Z) = t_count), exactly."""
-    _check_query(n, a_count, [w_count], t_count, [p])
-    return float(math.exp(
-        _log_mixture(n, a_count, w_count, t_count, p, ball=False)
-    ))
+    n, na, (nw,), nt = _check_query(n, a_count, [w_count], t_count, [p])
+    return float(math.exp(_log_mixture(n, na, nw, nt, p, ball=False)))
 
 
 def exact_mixed_noise_pmf_vector(n, a_count, w_count, p):
@@ -207,8 +206,8 @@ def exact_mixed_noise_pmf_vector(n, a_count, w_count, p):
 
 def exact_ball_log2_prob(n, a_count, w_count, t_count, p):
     """log2 P(wt(c + U + Z) <= t_count), stable for large n."""
-    _check_query(n, a_count, [w_count], t_count, [p])
-    log_prob = _log_mixture(n, a_count, w_count, t_count, p, ball=True)
+    n, na, (nw,), nt = _check_query(n, a_count, [w_count], t_count, [p])
+    log_prob = _log_mixture(n, na, nw, nt, p, ball=True)
     # rounding can put a near-full ball a few ulps above 1
     return min(0.0, float(log_prob / math.log(2.0)))
 
@@ -330,13 +329,15 @@ def np_exact_log2_errors(n, p0, p1, theta):
     alarm wt(z) > k is wt(c + z) <= n - k - 1 around the all-ones center
     (empty when k = n), and the miss is the radius-k ball around 0.
     """
-    _check_threshold_test(n, p0, p1, theta)
+    n = _check_threshold_test(n, p0, p1, theta)
     k = _accept_weight(n, theta)
     l0 = -math.inf if k == n else exact_ball_log2_prob(n, 0, n, n - k - 1, p0)
     return l0, exact_ball_log2_prob(n, 0, 0, k, p1)
 
 
 def _check_threshold_test(n, p0, p1, theta):
-    check_int("n", n, 1)
+    """n as an int, once n, the crossovers and theta are checked."""
+    n = check_int("n", n, 1)
     for name, v in (("p0", p0), ("p1", p1), ("theta", theta)):
         check_closed(name, v, 0, 1)
+    return n

@@ -51,10 +51,8 @@ class HypothesisPair:
     p1: float
 
     def __post_init__(self):
-        if not (0.0 <= self.p0 <= self.p1 <= 0.5):
-            raise ParameterError(
-                f"need 0 <= p0 <= p1 <= 1/2, got p0={self.p0}, p1={self.p1}"
-            )
+        check_closed("p1", self.p1, 0, 0.5)
+        check_closed("p0", self.p0, 0, self.p1)
 
 
 @dataclass(frozen=True)
@@ -124,10 +122,10 @@ def unconstrained_pair(h, theta):
 def baseline_pair(h, rate, theta):
     """Rate-R time sharing of the unconstrained test (send R n raw bits)."""
     check_closed("rate", rate, 0, 1)
-    if not (h.p0 < theta < h.p1):
-        raise ParameterError(
-            f"theta={theta} outside the open interval ({h.p0}, {h.p1})"
-        )
+    # the open interval (p0, p1) holds the floats from the neighbour
+    # above p0 to the neighbour below p1
+    check_closed("theta", theta, math.nextafter(h.p0, 1.0),
+                 math.nextafter(h.p1, 0.0))
     e0, e1 = _reference_rows(h, [theta], rate)
     return ExponentPair(float(e0[0]), float(e1[0]))
 
@@ -215,10 +213,7 @@ def one_sided_pair(h, params):
     """Exponent pair of quantize-and-bin at the given operating point."""
     a, theta = params.a, params.theta
     lo, hi = binary_convolution(a, h.p0), binary_convolution(a, h.p1)
-    if not (lo - DOMAIN_TOL <= theta <= hi + DOMAIN_TOL):
-        raise ParameterError(
-            f"theta={theta} outside [{lo}, {hi}] for a={a}"
-        )
+    check_closed("theta", theta, lo, hi, tol=DOMAIN_TOL)
     theta = min(max(theta, lo), hi)
     e0, e1 = _pair_rows(h, [a], [theta], params.rate_x)
     return ExponentPair(float(e0[0]), float(e1[0]))
@@ -440,7 +435,7 @@ def tradeoff_curve(scheme, h, rate, resolution=200, a_points=25,
     together with the rows kept so far, so memory stays within a group
     and the frontier.
     """
-    if scheme not in SCHEMES:
+    if not isinstance(scheme, str) or scheme not in SCHEMES:
         raise ParameterError(f"unknown scheme {scheme!r}")
     check_closed("rate", rate, 0, 1)
     resolution = check_int("resolution", resolution, 2)

@@ -30,7 +30,6 @@ in a `TrialRecords`.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,14 +130,15 @@ def gen_dsbs(n, p, seed=None):
     drawn by the sampler of `simulate` (`_draw_words`) from the raw
     words of one bit generator, which serves every level in turn.  seed
     may be anything `numpy.random.default_rng` accepts, including an
-    existing Generator, whose bit generator is read in place; a number
-    must be a nonnegative integer.
+    existing Generator, whose bit generator is read in place; anything
+    else, a negative or non-integer number too, is a ParameterError.
     """
     check_int("blocklength", n, 1, WORD_BITS)
     check_closed("p", p, 0, 1)
-    if isinstance(seed, numbers.Real):
-        check_int("seed", seed, 0)
-    bits = np.random.default_rng(seed).bit_generator
+    try:
+        bits = np.random.default_rng(seed).bit_generator
+    except (TypeError, ValueError):
+        raise ParameterError(f"seed={seed!r} is not a seed") from None
     x, z = _draw_words(lambda level: bits, 1, n, p)
     return int(x[0]), int(x[0] ^ z[0])
 

@@ -1,36 +1,63 @@
 """Edge fuzz of the public library API.
 
 Each call draws the integer and range arguments of one entry point
-from their valid ranges, and half the calls then replace one argument
-by an edge value: out of range, not an integer, not a number, one past
-the 64-bit word, subnormal, or a numpy integer.  Every call must give
-finite values or a `ParameterError`; no draw comes near a work or table
-bound, so no other refusal is due.
+from their valid ranges, a float now and then as a numpy scalar or a
+0-d array and an integer as a numpy integer, and half the calls then
+replace one argument by an edge value: out of range, not an integer,
+not a number at all, one past the 64-bit word, subnormal, or a numpy
+integer.  Every call must give finite values or a `ParameterError`
+(or a `ResourceLimitError`, where a planted 65 passes a table bound),
+and a call with no edge value planted must give values: no valid draw
+comes near a work or table bound, so no refusal is due.
 """
 
 import math
+from decimal import Decimal
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bindht import (
     BitMatrix,
     HypothesisPair,
+    SchemeParams,
+    SimConfig,
+    ball_noise_ball_exponent,
+    best_channel_exponent,
+    binary_convolution,
+    binary_divergence,
+    binary_entropy,
     build_nested,
     curve_value_at,
+    enumerate_mixed_noise_pmf,
+    exact_mixed_noise_pmf,
+    expurgated_exponent,
+    gen_dsbs,
+    gv_distance,
+    inverse_binary_entropy,
+    mixed_weight_exponent,
+    np_exact_errors,
+    one_sided_pair,
+    random_coding_exponent,
     sample_random_linear_code,
     stein_columns,
     stein_sweep,
+    symmetric_pair,
     tradeoff_curve,
+    type_noise_ball_exponent,
+    unconstrained_pair,
     weight_difference_exponent,
 )
-from bindht.errors import ParameterError
+from bindht.binmath import DOMAIN_TOL
+from bindht.errors import ParameterError, ResourceLimitError
 from bindht.gf2 import syndromes
-from bindht.regions import SCHEMES
+from bindht.regions import SCHEMES, baseline_pair
 
 _EDGES = [
     0, -1, 2.5, math.nan, math.inf, -math.inf, 65, 1e-320,
     np.int64(3), np.uint8(2), np.int16(-1),
+    # not numbers: each fails the comparison with a range
+    "0.3", None, 1j, [0.1], np.array([0.1, 0.2]),
 ]
 
 _CURVE = tradeoff_curve("symmetric", HypothesisPair(0.01, 0.25), 0.3,
@@ -89,68 +116,220 @@ def _check_value(v, *args):
     assert math.isfinite(v)
 
 
+def _check_unit(v, *args):
+    assert 0.0 <= v <= 1.0
+
+
+def _check_divergence(v, p, q):
+    # +inf where q is 0 or 1 and p differs from it
+    assert v >= 0.0 and (math.isfinite(v) or not 0.0 < q < 1.0)
+
+
+def _check_sphere(v, p, *args):
+    # at p in {0, 1} no flip is random, so a target weight can be
+    # out of reach (+inf); any noise in between reaches every weight
+    assert v >= 0.0 and (math.isfinite(v) or p in (0.0, 1.0))
+
+
+def _check_nonnegative(v, *args):
+    assert math.isfinite(v) and v >= 0.0
+
+
+def _check_pair(pair, p0, *args):
+    # d(theta || 0) is +inf: without noise the null never false-alarms
+    assert pair.e0 >= 0.0 and (math.isfinite(pair.e0) or p0 == 0.0)
+    assert math.isfinite(pair.e1) and pair.e1 >= 0.0
+
+
+def _check_hypotheses(h, *args):
+    assert 0.0 <= h.p0 <= h.p1 <= 0.5
+
+
+def _check_params(params, *args):
+    assert 0.0 <= params.rate_bin <= 1.0
+
+
+def _check_config(cfg, *args):
+    assert 1 <= cfg.n <= 64
+
+
+def _check_words(words, n, *args):
+    assert all(0 <= x < 1 << int(n) for x in words)
+
+
+def _check_errors(errors, *args):
+    assert all(0.0 <= e <= 1.0 for e in errors)
+
+
+def _check_pmf(pmf, *args):
+    # one row per center weight and per p where those are 1-D
+    assert np.allclose(pmf.sum(axis=-1), 1.0, rtol=0.0, atol=1e-9)
+    assert np.all(pmf >= 0.0)
+
+
 def _check_columns(cols, *args):
     assert _finite(*cols.values()) and _ordered(cols)
 
 
-_UNIT = st.floats(0.0, 1.0)
+def _real(lo, hi):
+    """Floats in [lo, hi], also as numpy scalars and 0-d arrays."""
+    x = st.floats(lo, hi)
+    return x | x.map(np.float64) | x.map(np.array)
 
-#: name: (call, valid strategy per argument, check of the result)
+
+def _int(lo, hi):
+    """Integers in [lo, hi], also as numpy integers."""
+    k = st.integers(lo, hi)
+    return k | k.map(np.int64)
+
+
+_UNIT = _real(0.0, 1.0)
+_H = HypothesisPair(0.01, 0.25)
+
+#: name: (call, valid strategy per argument, check of the result).  The
+#: argument ranges are disjoint where an order is due (p0 below p1, the
+#: threshold inside the window of every quantization level drawn).
 _CALLS = {
     "BitMatrix": (
         lambda rows, cols, row: BitMatrix(rows, cols, (row,)),
-        [st.just(1), st.integers(1, 64), st.integers(0, 1)],
+        [st.just(1), _int(1, 64), _int(0, 1)],
         _check_matrix,
     ),
     "BitMatrix.from_rows": (
         lambda cols, row: BitMatrix.from_rows([row], cols),
-        [st.integers(1, 64), st.integers(0, 1)],
+        [_int(1, 64), _int(0, 1)],
         _check_matrix,
     ),
     "sample_random_linear_code": (
         lambda n, k: sample_random_linear_code(n, k, seed=0),
-        [st.integers(8, 64), st.integers(1, 8)],
+        [_int(8, 64), _int(1, 8)],
         _check_code,
     ),
     "build_nested": (
         lambda n, fine, coarse: build_nested(n, fine, coarse, seed=0),
-        [st.integers(8, 64), st.floats(0.5, 1.0), st.floats(0.1, 0.5)],
+        [_int(8, 64), _real(0.5, 1.0), _real(0.1, 0.5)],
         _check_nested,
     ),
     "stein_sweep": (
         stein_sweep,
-        [st.floats(0.05, 0.5), _UNIT, st.floats(0.0, 0.05),
-         st.floats(0.0, 0.05), st.integers(1, 2)],
+        [_real(0.05, 0.5), _UNIT, _real(0.0, 0.05), _real(0.0, 0.05),
+         _int(1, 2)],
         _check_sweep,
     ),
     "tradeoff_curve": (
         lambda scheme, rate, res, a_pts, alpha_pts: tradeoff_curve(
-            scheme, HypothesisPair(0.01, 0.25), rate, resolution=res,
-            a_points=a_pts, alpha_points=alpha_pts,
+            scheme, _H, rate, resolution=res, a_points=a_pts,
+            alpha_points=alpha_pts,
         ),
-        [st.sampled_from(SCHEMES), _UNIT, st.integers(2, 4),
-         st.integers(1, 3), st.integers(1, 3)],
+        [st.sampled_from(SCHEMES), _UNIT, _int(2, 4), _int(1, 3),
+         _int(1, 3)],
         _check_curve,
     ),
     "weight_difference_exponent": (
         weight_difference_exponent,
-        [_UNIT, st.floats(0.0, 0.5), st.floats(0.0, 0.5),
-         st.floats(-0.5, 0.5)],
+        [_UNIT, _real(0.0, 0.5), _real(0.0, 0.5), _real(-0.5, 0.5)],
         _check_weight_difference,
     ),
     "curve_value_at": (
         lambda e0: curve_value_at(_CURVE, e0),
-        [st.floats(0.0, 0.2)],
+        [_real(0.0, 0.2)],
         _check_value,
     ),
-    # p0 = frac * p1, with the cells p0 in {0, p1} and rate in {0, 1}
+    # with the cells p0 in {0, p1}, at p1 = 1/4, and rate in {0, 1}
     "stein_columns": (
-        lambda p1, frac, rate: stein_columns(
-            HypothesisPair(frac * p1, p1), rate
-        ),
-        [st.floats(0.0, 0.5), st.sampled_from([0.0, 1.0]) | _UNIT,
+        lambda p0, p1, rate: stein_columns(HypothesisPair(p0, p1), rate),
+        [st.sampled_from([0.0, 0.25]) | _real(0.0, 0.25),
+         st.just(0.25) | _real(0.25, 0.5),
          st.sampled_from([0.0, 1.0]) | _UNIT],
         _check_columns,
+    ),
+    "binary_entropy": (binary_entropy, [_UNIT], _check_unit),
+    "binary_divergence": (
+        binary_divergence, [_UNIT, _UNIT], _check_divergence,
+    ),
+    "binary_convolution": (binary_convolution, [_UNIT, _UNIT], _check_unit),
+    "inverse_binary_entropy": (
+        inverse_binary_entropy, [_UNIT], _check_unit,
+    ),
+    "gv_distance": (gv_distance, [_UNIT], _check_unit),
+    "mixed_weight_exponent": (
+        mixed_weight_exponent, [_UNIT] * 4, _check_sphere,
+    ),
+    "type_noise_ball_exponent": (
+        type_noise_ball_exponent, [_UNIT] * 4, _check_sphere,
+    ),
+    "ball_noise_ball_exponent": (
+        ball_noise_ball_exponent,
+        [_UNIT, _real(0.0, 0.5), _UNIT, _UNIT],
+        _check_sphere,
+    ),
+    "random_coding_exponent": (
+        random_coding_exponent, [_real(0.0, 0.5), _UNIT],
+        _check_nonnegative,
+    ),
+    "expurgated_exponent": (
+        expurgated_exponent, [_real(0.0, 0.5), _UNIT], _check_nonnegative,
+    ),
+    "best_channel_exponent": (
+        best_channel_exponent, [_real(0.0, 0.5), _UNIT],
+        _check_nonnegative,
+    ),
+    "HypothesisPair": (
+        HypothesisPair, [_real(0.0, 0.1), _real(0.1, 0.5)],
+        _check_hypotheses,
+    ),
+    "SchemeParams": (
+        SchemeParams, [_real(0.0, 0.1), _UNIT, _real(0.0, 0.5)],
+        _check_params,
+    ),
+    "unconstrained_pair": (
+        lambda p0, p1, theta: unconstrained_pair(
+            HypothesisPair(p0, p1), theta
+        ),
+        [_real(0.0, 0.05), _real(0.2, 0.5), _real(0.06, 0.19)],
+        _check_pair,
+    ),
+    "baseline_pair": (
+        lambda p0, p1, rate, theta: baseline_pair(
+            HypothesisPair(p0, p1), rate, theta
+        ),
+        [_real(0.0, 0.05), _real(0.2, 0.5), _UNIT, _real(0.06, 0.19)],
+        _check_pair,
+    ),
+    # a <= 0.05 keeps [a * p0, a * p1] around [0.1, 0.3]
+    "one_sided_pair": (
+        lambda p0, p1, a, theta, rate_x: one_sided_pair(
+            HypothesisPair(p0, p1), SchemeParams(a, theta, rate_x)
+        ),
+        [_real(0.0, 0.05), _real(0.3, 0.5), _real(0.0, 0.05),
+         _real(0.1, 0.3), _real(0.0, 0.5)],
+        _check_pair,
+    ),
+    "symmetric_pair": (
+        lambda p0, p1, rate, theta: symmetric_pair(
+            HypothesisPair(p0, p1), rate, theta
+        ),
+        [_real(0.0, 0.05), _real(0.3, 0.5), _UNIT, _real(0.1, 0.3)],
+        _check_pair,
+    ),
+    "SimConfig": (
+        lambda n, trials, seed, theta: SimConfig(n, trials, seed, _H, theta),
+        [_int(1, 64), _int(1, 100), _int(0, 10), _UNIT],
+        _check_config,
+    ),
+    "gen_dsbs": (gen_dsbs, [_int(1, 64), _UNIT, _int(0, 10)], _check_words),
+    "exact_mixed_noise_pmf": (
+        exact_mixed_noise_pmf,
+        [_int(4, 12), _int(0, 4), _int(0, 4), _int(0, 4), _UNIT],
+        _check_unit,
+    ),
+    "np_exact_errors": (
+        np_exact_errors, [_int(1, 30), _UNIT, _UNIT, _UNIT], _check_errors,
+    ),
+    "enumerate_mixed_noise_pmf": (
+        enumerate_mixed_noise_pmf,
+        [_int(4, 8), _int(0, 4), _int(0, 4), _UNIT],
+        _check_pmf,
     ),
 }
 
@@ -159,34 +338,114 @@ _CALLS = {
 def _api_calls(draw):
     name = draw(st.sampled_from(sorted(_CALLS)))
     args = [draw(s) for s in _CALLS[name][1]]
-    if draw(st.booleans()):
+    planted = draw(st.booleans())
+    if planted:
         slot = draw(st.integers(0, len(args) - 1))
         args[slot] = draw(st.sampled_from(_EDGES))
-    return name, tuple(args)
+    return name, tuple(args), planted
 
 
-@settings(max_examples=150, deadline=None)
+def _planted(name, *args):
+    return example((name, args, True))
+
+
+@settings(max_examples=300, deadline=None)
 @given(_api_calls())
-@example(("BitMatrix", (1, 2.5, 1)))
-@example(("BitMatrix", (1, 65, 1)))
-@example(("BitMatrix.from_rows", (3, 2.5)))
-@example(("build_nested", (math.nan, 1.0, 0.5)))
-@example(("build_nested", (70, 0.9, 0.8)))
-@example(("sample_random_linear_code", (70, 3)))
-@example(("stein_sweep", (0.25, 0.3, 0.01, 0.02, 2.5)))
-@example(("stein_sweep", (0.25, 0.3, 0.01, 0.02, -1)))
-@example(("tradeoff_curve", ("one_sided", 0.3, 2.5, 2, 2)))
-@example(("tradeoff_curve", ("one_sided", 0.3, 3, 0, 2)))
-@example(("tradeoff_curve", ("symmetric", 0.3, 3, 2, 0)))
-@example(("weight_difference_exponent", (0.1, math.nan, 0.2, 0.0)))
-@example(("weight_difference_exponent", (0.1, 0.2, math.nan, 0.0)))
-@example(("weight_difference_exponent", (0.1, 0.2, 0.2, math.nan)))
-@example(("curve_value_at", (math.nan,)))
+@_planted("BitMatrix", 1, 2.5, 1)
+@_planted("BitMatrix", 1, 65, 1)
+@_planted("BitMatrix.from_rows", 3, 2.5)
+@_planted("build_nested", math.nan, 1.0, 0.5)
+@_planted("build_nested", 70, 0.9, 0.8)
+@_planted("sample_random_linear_code", 70, 3)
+@_planted("stein_sweep", 0.25, 0.3, 0.01, 0.02, 2.5)
+@_planted("stein_sweep", 0.25, 0.3, 0.01, 0.02, -1)
+@_planted("tradeoff_curve", "one_sided", 0.3, 2.5, 2, 2)
+@_planted("tradeoff_curve", "one_sided", 0.3, 3, 0, 2)
+@_planted("tradeoff_curve", "symmetric", 0.3, 3, 2, 0)
+@_planted("weight_difference_exponent", 0.1, math.nan, 0.2, 0.0)
+@_planted("weight_difference_exponent", 0.1, 0.2, math.nan, 0.0)
+@_planted("weight_difference_exponent", 0.1, 0.2, 0.2, math.nan)
+@_planted("curve_value_at", math.nan)
+# arguments that are not numbers
+@_planted("binary_entropy", None)
+@_planted("binary_divergence", "0.1", 0.2)
+@_planted("gv_distance", "0.3")
+@_planted("HypothesisPair", "0.1", 0.2)
+@_planted("SchemeParams", "0.05", 0.08, 0.3)
+@_planted("unconstrained_pair", 0.01, 0.25, "0.1")
+@_planted("stein_sweep", 0.25, "0.3", 0.01, 0.02, 1)
+@_planted("stein_sweep", 0.25, 0.3, "0.01", 0.02, 1)
+@_planted("tradeoff_curve", "symmetric", None, 3, 2, 2)
+@_planted("tradeoff_curve", np.array([0.1, 0.2]), 0.3, 3, 2, 2)
+@_planted("curve_value_at", "0.1")
+@_planted("weight_difference_exponent", "0.1", 0.2, 0.2, 0.0)
+@_planted("mixed_weight_exponent", None, 0.1, 0.1, 0.1)
+@_planted("best_channel_exponent", 0.1, "0.2")
+@_planted("build_nested", 16, "0.9", 0.5)
+@_planted("SimConfig", 8, 10, 0, "0.1")
+@_planted("gen_dsbs", 8, "0.1", 0)
+@_planted("gen_dsbs", 8, 0.1, "0")
+@_planted("exact_mixed_noise_pmf", 10, 2, 3, 4, "0.1")
+@_planted("np_exact_errors", 10, 0.1, 0.2, "0.5")
+@_planted("enumerate_mixed_noise_pmf", 6, 2, 3, None)
+@_planted("binary_convolution", 0.1, np.array([0.1, 0.2]))
+@_planted("baseline_pair", 0.01, 0.25, 1j, 0.1)
+@_planted("one_sided_pair", 0.01, 0.3, [0.1], 0.2, 0.3)
+# narrow numpy counts in range, which wrapped in the count arithmetic
+@example(("np_exact_errors", (np.uint8(2), 0.0, 0.0, 0.0), False))
+@example(("exact_mixed_noise_pmf", (np.uint8(10), 2, np.uint8(3), 4, 0.1),
+          False))
 def test_public_api_gives_finite_values_or_parameter_error(call):
-    name, args = call
+    name, args, planted = call
     fn, _, check = _CALLS[name]
     try:
         out = fn(*args)
-    except ParameterError:
+    except (ParameterError, ResourceLimitError):
+        assert planted, f"{name}{args} refused"
         return
     check(out, *args)
+
+
+def test_numbers_accepted_before_still_pass():
+    # anything that compares as a number passes the range checks, with
+    # the value a float gives, and the unit checks keep their slack
+    params = SchemeParams(Decimal("0.05"), 0.08, 0.3)
+    assert one_sided_pair(_H, params) == one_sided_pair(
+        _H, SchemeParams(0.05, 0.08, 0.3)
+    )
+    assert exact_mixed_noise_pmf(10, 2, 3, 4, np.array(0.25)) == (
+        exact_mixed_noise_pmf(10, 2, 3, 4, 0.25)
+    )
+    assert binary_entropy(np.float64(0.25)) == binary_entropy(0.25)
+    assert binary_entropy(-DOMAIN_TOL / 2) == 0.0
+    assert gv_distance(1.0 + DOMAIN_TOL / 2) == 0.0
+    assert mixed_weight_exponent(0.1, -DOMAIN_TOL / 2, 0.0, 0.1) == (
+        mixed_weight_exponent(0.1, 0.0, 0.0, 0.1)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p0=st.floats(0.0, 0.5, exclude_max=True),
+    gap=st.floats(0.0, 1.0, exclude_min=True),
+    frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    rates=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+)
+def test_symmetric_pair_below_unconstrained_and_rising_in_rate(
+        p0, gap, frac, rates):
+    p1 = p0 + gap * (0.5 - p0)
+    theta = p0 + frac * (p1 - p0)
+    assume(p0 < theta < p1)
+    h = HypothesisPair(p0, p1)
+    ref = unconstrained_pair(h, theta)
+    lo, hi = (symmetric_pair(h, rate, theta) for rate in sorted(rates))
+    # The coded e0 is d(theta || p0) read at 1 - theta, which moves
+    # theta by up to 2^-54; e0's slope in theta is log2(theta (1 - p0) /
+    # (p0 (1 - theta))), up to about 1075 bits near the underflow limit.
+    # So e0 can sit up to 6e-14 above the reference (5.4e-14 seen), not
+    # only the few ulps of 1 bit of `_ordered`, and it grows to hundreds
+    # of bits.  Hence a slack of 1e-13 relative to max(1 bit, e).
+    assert hi.e0 <= ref.e0 + 1e-13 * max(1.0, ref.e0)
+    assert hi.e1 <= ref.e1 + 1e-13 * max(1.0, ref.e1)
+    # more rate never hurts, and here it holds exactly
+    assert lo.e0 <= hi.e0 and lo.e1 <= hi.e1

@@ -147,11 +147,17 @@ def test_stein_range_sweep_row_count(capsys):
     )
 
 
-def test_bad_sweep_spec(capsys):
-    code, _, err = _run(
-        capsys, "stein", "--preset", "fig2a", "--p0", "1:2:3"
+@pytest.mark.parametrize(
+    "text", ["1:2:3", "abc", "0.01:", ":0.02", "1e-2:abc", "0.01:0.02:0.03"]
+)
+def test_bad_sweep_spec(capsys, text):
+    # text that is not one float or two is refused by name, without a
+    # traceback
+    code, out, err = _run(capsys, "stein", "--preset", "fig2a", "--p0", text)
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: cannot parse sweep {text!r}, use VALUE or LO:HI\n"
     )
-    assert code == 2 and "sweep" in err
 
 
 @pytest.mark.parametrize("command", ["stein", "tradeoff"])
