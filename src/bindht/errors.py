@@ -30,15 +30,18 @@ def check_int(name, value, lo, hi=math.inf):
     return int(value)
 
 
-def check_closed(name, value, lo, hi, tol=0):
+def check_closed(name, value, lo, hi, tol=0, open_ends=False):
     """Refuse a value outside [lo - tol, hi + tol] with a ParameterError,
     NaN included, and one that does not compare as a number (a string,
-    None, a complex, a list, an array of several entries).  The message
-    names [lo, hi] to six digits."""
+    None, a complex, a list, an array of several entries); with open_ends
+    also lo and hi.  The message names the interval to six digits."""
+    ends = (lo, hi) if open_ends else ()
     try:
-        inside = lo - tol <= value <= hi + tol
+        inside = lo - tol <= value <= hi + tol and value not in ends
     except (TypeError, ValueError):
         raise ParameterError(f"{name}={value!r} is not a number") from None
     if not inside:
-        raise ParameterError(f"{name}={value} outside [{lo:g}, {hi:g}]")
+        both = f"{lo:g}, {hi:g}"
+        span = f"the open interval ({both})" if ends else f"[{both}]"
+        raise ParameterError(f"{name}={value} outside {span}")
     return value

@@ -72,7 +72,8 @@ def _pmf_query(n, a_count, w_count, p):
                 f"{name} must be a scalar or 1-D, got {np.shape(v)}"
             )
     ws, ps = [list(v) if np.ndim(v) else [v] for v in (w_count, p)]
-    return (*_check_query(n, a_count, ws, 0, ps)[:3], ps)
+    n, na, ws, _ = _check_query(n, a_count, ws, 0, ps)
+    return n, na, ws, ps
 
 
 def _squeeze(out, w_count, p):

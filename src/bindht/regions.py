@@ -122,10 +122,7 @@ def unconstrained_pair(h, theta):
 def baseline_pair(h, rate, theta):
     """Rate-R time sharing of the unconstrained test (send R n raw bits)."""
     check_closed("rate", rate, 0, 1)
-    # the open interval (p0, p1) holds the floats from the neighbour
-    # above p0 to the neighbour below p1
-    check_closed("theta", theta, math.nextafter(h.p0, 1.0),
-                 math.nextafter(h.p1, 0.0))
+    check_closed("theta", theta, h.p0, h.p1, open_ends=True)
     e0, e1 = _reference_rows(h, [theta], rate)
     return ExponentPair(float(e0[0]), float(e1[0]))
 

@@ -171,6 +171,19 @@ def _check_columns(cols, *args):
     assert _finite(*cols.values()) and _ordered(cols)
 
 
+def _times(frac, p1):
+    """frac * p1 where both are real numbers.  Where the product fails or
+    is not a real scalar, one of the two is a planted non-number: frac
+    passes through as it was planted, and `HypothesisPair` refuses
+    whichever of the two it is."""
+    try:
+        product = frac * p1
+    except TypeError:
+        return frac
+    real = np.isrealobj(product) and np.ndim(product) == 0
+    return product if real else frac
+
+
 def _real(lo, hi):
     """Floats in [lo, hi], also as numpy scalars and 0-d arrays."""
     x = st.floats(lo, hi)
@@ -235,11 +248,12 @@ _CALLS = {
         [_real(0.0, 0.2)],
         _check_value,
     ),
-    # with the cells p0 in {0, p1}, at p1 = 1/4, and rate in {0, 1}
+    # p0 = frac * p1, with the cells p0 in {0, p1} and rate in {0, 1}
     "stein_columns": (
-        lambda p0, p1, rate: stein_columns(HypothesisPair(p0, p1), rate),
-        [st.sampled_from([0.0, 0.25]) | _real(0.0, 0.25),
-         st.just(0.25) | _real(0.25, 0.5),
+        lambda p1, frac, rate: stein_columns(
+            HypothesisPair(_times(frac, p1), p1), rate
+        ),
+        [_real(0.0, 0.5), st.sampled_from([0.0, 1.0]) | _UNIT,
          st.sampled_from([0.0, 1.0]) | _UNIT],
         _check_columns,
     ),
@@ -415,6 +429,9 @@ def test_numbers_accepted_before_still_pass():
     )
     assert exact_mixed_noise_pmf(10, 2, 3, 4, np.array(0.25)) == (
         exact_mixed_noise_pmf(10, 2, 3, 4, 0.25)
+    )
+    assert unconstrained_pair(_H, Decimal("0.1")) == (
+        unconstrained_pair(_H, 0.1)
     )
     assert binary_entropy(np.float64(0.25)) == binary_entropy(0.25)
     assert binary_entropy(-DOMAIN_TOL / 2) == 0.0

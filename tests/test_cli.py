@@ -193,6 +193,21 @@ def test_rate_checked_before_use(capsys, argv, rate):
     assert err == f"error: rate={float(rate)!r} outside [0, 1]\n"
 
 
+@pytest.mark.parametrize("theta", ["0.01", "0.25"])
+@pytest.mark.parametrize("scheme", ["unconstrained", "baseline"])
+def test_reference_threshold_at_p0_or_p1_names_open_interval(
+        capsys, scheme, theta):
+    # the reference schemes need p0 < theta < p1, so either end is refused
+    code, out, err = _run(
+        capsys, "exponents", "--scheme", scheme, "--threshold", theta,
+        "--p0", "0.01", "--p1", "0.25", "--rate", "0.3",
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: theta={theta} outside the open interval (0.01, 0.25)\n"
+    )
+
+
 @pytest.mark.parametrize("scheme", ["unconstrained", "baseline"])
 def test_reference_curve_at_equal_p_names_p0_and_p1(capsys, scheme):
     # the threshold grid of a reference curve lies strictly between p0
