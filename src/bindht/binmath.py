@@ -29,8 +29,7 @@ _LN4 = math.log(4.0)
 
 
 def _check_unit(x, name, hi=1.0):
-    check_closed(name, x, 0.0, hi, tol=DOMAIN_TOL)
-    return min(max(float(x), 0.0), hi)
+    return min(max(check_closed(name, x, 0.0, hi, tol=DOMAIN_TOL), 0.0), hi)
 
 
 def _entropy(p):

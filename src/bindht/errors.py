@@ -1,7 +1,9 @@
-"""Shared exception types, and the two argument checks every module uses."""
+"""Shared exception types, and the argument checks every module uses."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -31,17 +33,35 @@ def check_int(name, value, lo, hi=math.inf):
 
 
 def check_closed(name, value, lo, hi, tol=0, open_ends=False):
-    """Refuse a value outside [lo - tol, hi + tol] with a ParameterError,
-    NaN included, and one that does not compare as a number (a string,
-    None, a complex, a list, an array of several entries); with open_ends
-    also lo and hi.  The message names the interval to six digits."""
+    """The value in [lo - tol, hi + tol] as a float; NaN is refused with a
+    ParameterError, and so is a value that is not one real number (a
+    string, None, a complex, a list, an array of any shape but 0-d); with
+    open_ends also lo and hi.  The message names the interval to six
+    digits."""
     ends = (lo, hi) if open_ends else ()
     try:
+        # floats (numpy's float64 too) and ints skip the slower numpy tests
+        if not isinstance(value, (float, int)) and (
+                np.iscomplexobj(value) or np.ndim(value) > 0):
+            raise TypeError
         inside = lo - tol <= value <= hi + tol and value not in ends
-    except (TypeError, ValueError):
+        # an int beyond the float range passes only an infinite bound
+        number = float(value) if inside else None
+    except (TypeError, ValueError, OverflowError):
         raise ParameterError(f"{name}={value!r} is not a number") from None
     if not inside:
         both = f"{lo:g}, {hi:g}"
         span = f"the open interval ({both})" if ends else f"[{both}]"
         raise ParameterError(f"{name}={value} outside {span}")
-    return value
+    return number
+
+
+def check_seed(seed):
+    """The `numpy.random.Generator` of seed, which may be anything
+    `numpy.random.default_rng` accepts, an existing Generator included;
+    anything else, a negative or non-integer number too, is a
+    ParameterError."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise ParameterError(f"seed={seed!r} is not a seed") from None

@@ -207,7 +207,7 @@ def weight_difference_exponent(p, alpha, beta, tau):
     alpha = _check_unit(alpha, "alpha")
     beta = _check_unit(beta, "beta")
     check_closed("alpha+beta", alpha + beta, 0.0, 1.0, tol=DOMAIN_TOL)
-    tau = float(check_closed("tau", tau, -math.inf, math.inf))
+    tau = check_closed("tau", tau, -math.inf, math.inf)
     if tau < -beta - DOMAIN_TOL or tau > alpha + DOMAIN_TOL:
         return math.inf
     if p == 0.0:

@@ -36,6 +36,7 @@ from .errors import (
     SamplingFailureError,
     check_closed,
     check_int,
+    check_seed,
 )
 
 #: bits of one packed word: the most columns of a matrix, so the longest
@@ -177,7 +178,7 @@ def sample_random_linear_code(n, k, seed=None):
     """Uniform random full-rank [n, k] code; rejection on rank failure."""
     n = check_int("n", n, 1, WORD_BITS)
     k = check_int("k", k, 1, n)
-    rng = np.random.default_rng(seed)
+    rng = check_seed(seed)
     for _ in range(_SAMPLE_TRIES):
         rows = [pack_bits(rng.integers(0, 2, size=n)) for _ in range(k)]
         g = BitMatrix.from_rows(rows, n)
@@ -356,7 +357,7 @@ def improve_covering(code, seed=None):
     so the covering radius never increases and the rate overhead
     vanishes with n.
     """
-    rng = np.random.default_rng(seed)
+    rng = check_seed(seed)
     current = code
     for _ in range(math.ceil(math.log2(code.n))):
         if current.k == current.n:
@@ -390,7 +391,7 @@ def build_nested(n, rate_fine, rate_coarse, seed=None):
     k1 = max(int(round(n * rate_fine)), k2)
     if k2 < 1:
         raise ParameterError(f"coarse rate {rate_coarse} rounds to k2=0 at n={n}")
-    rng = np.random.default_rng(seed)
+    rng = check_seed(seed)
     coarse = sample_random_linear_code(n, k2, rng)
     rows = list(coarse.G.bits)
     # a basis of span(rows) in which no row holds the pivot (lowest set

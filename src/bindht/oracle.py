@@ -17,15 +17,16 @@ once, and each pmf is the hypergeometric weights times the kernel rows
 s_m.
 
 ``enumerate_mixed_noise_pmf`` is an independent route used to validate
-the decomposition: it iterates U over the whole type class and Z over
+the decomposition: it counts U over the whole type class and Z over
 all 2^n patterns, accumulating exact integer counts per (weight of z,
 resulting weight) cell, and only converts to float at the very end.
 That count table does not depend on p, and the center enters only
-through c + (U + z): a table of exact counts per (weight of z, U + z)
-is built once per (n, na) over every (U, z) pair, its nonzero cells
-regrouped by the resulting weight for each center, and then weighted
-by each p; the route stays exhaustive.  Both pmf routes take nw and p
-each as a scalar or 1-D, so one call covers an (n, na) block.
+through c + (U + z): exact counts per (weight of U, weight of z, U + z)
+are built once per n, one coordinate at a time and with no binomial
+coefficient, the nonzero cells of the na slice regrouped by the
+resulting weight for each center, and then weighted by each p; every
+(U, z) pair is counted once.  Both pmf routes take nw and p each as a
+scalar or 1-D, so one call covers an (n, na) block.
 
 The uncoded weight-threshold test lives here too; `simkit` decides by
 its acceptance rule, `_accept_weight`.
@@ -38,11 +39,9 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError, check_closed, check_int
 
-#: largest blocklength for exhaustive (U, Z) enumeration
+#: largest blocklength for exhaustive (U, Z) enumeration; a count
+#: table cell is at most C(12, 6) = 924 < 2^16, so the table is uint16
 ENUM_MAX_N = 12
-
-#: (U, Z) pairs handled per vectorised step of the enumeration
-_ENUM_BLOCK = 1 << 17
 
 #: _LOG_FACT[k] = ln(k!), extended by doubling when a larger k arrives
 _LOG_FACT = np.zeros(1)
@@ -224,31 +223,30 @@ def _popcounts(n):
 
 
 @functools.lru_cache(maxsize=1)
-def _xor_counts(n, a_count):
-    """Read-only int64 table N[j, x] = #{(U, z): wt(U) = a_count,
-    wt(z) = j, U + z = x}, of shape (n + 1, 2^n); n <= ENUM_MAX_N.
+def _xor_counts(n):
+    """Read-only uint16 table N[a, j, x] = #{(U, z): wt(U) = a,
+    wt(z) = j, U + z = x}, of shape (n + 1, n + 1, 2^n); n <= ENUM_MAX_N.
 
-    Every pair, U over the weight-a_count type class and z over all 2^n
-    patterns, is counted.  A cell is (wt(z) << n) | (U ^ z), at most
-    ENUM_MAX_N * 2^ENUM_MAX_N + 2^ENUM_MAX_N - 1 = 53,247, so cells fit
-    uint16.  Only the last table is kept: callers regroup it for every
-    center weight of one (n, a_count) at once.  The blocks are written
-    into one buffer and counted in place, so no block allocates: a fresh
-    temporary per block made the count's speed hinge on the allocator's
-    state.
+    Built one coordinate at a time: a pair of (m + 1)-bit words is a pair
+    of m-bit words plus a top bit each, which add to a and to j, and
+    whose xor picks the half of x.  So for x < 2^m, level m + 1 holds
+    N[a, j, x] + N[a - 1, j - 1, x] at x and N[a - 1, j, x] +
+    N[a, j - 1, x] at x + 2^m.  Every word x stays a column, every pair
+    is counted once, and no binomial coefficient enters.  Built in place,
+    one row a at a time, descending, so rows a and a - 1 are read before
+    they are updated; whole halves interleave in memory, so numpy would
+    copy one to add it to the other.
     """
-    zs = np.arange(1 << n, dtype=np.uint16)
-    pc = _popcounts(n)
-    jshift = pc.astype(np.uint16) << np.uint16(n)
-    us = zs[pc == a_count]
-    counts = np.zeros((n + 1) << n, dtype=np.int64)
-    cells = np.empty((max(1, _ENUM_BLOCK >> n), 1 << n), dtype=np.uint16)
-    for i in range(0, len(us), len(cells)):
-        block = cells[:len(us) - i]
-        np.bitwise_xor(us[i: i + len(block), None], zs, out=block)
-        block |= jshift
-        np.add.at(counts, block, 1)
-    table = counts.reshape(n + 1, 1 << n)
+    table = np.zeros((n + 1, n + 1, 1 << n), dtype=np.uint16)
+    table[0, 0, 0] = 1
+    for m in range(n):
+        low = table[: m + 2, : m + 2, : 1 << m]
+        high = table[: m + 2, : m + 2, 1 << m: 2 << m]
+        high[0, 1:] = low[0, :-1]
+        for a in range(m + 1, 0, -1):
+            high[a] = low[a - 1]
+            high[a, 1:] += low[a, :-1]
+            low[a, 1:] += low[a - 1, :-1]
     table.flags.writeable = False
     return table
 
@@ -260,35 +258,37 @@ def _enumerate_counts(n, a_count, w_counts):
     Table i, row j, column t counts the pairs (U, z), U over the
     weight-a_count type class and z over all 2^n patterns with
     wt(z) = j, for which c + U + z has weight t, c being the center of
-    weight w_counts[i].  It regroups the nonzero cells (j, x) of
-    `_xor_counts` by wt(c + x), one center at a time.  Float64 sums
-    are exact here: no cell exceeds C(12, 6) * 2^12 < 2^53.
+    weight w_counts[i].  It regroups the nonzero cells (j, x) of the
+    a_count slice of `_xor_counts` by wt(c + x), one center at a time,
+    into buffers allocated once per call.  Float64 sums are exact here:
+    no cell exceeds C(12, 6) * 2^12 < 2^53.
     """
-    table = _xor_counts(n, a_count).ravel()
-    flat = np.flatnonzero(table)
-    weights = table[flat].astype(np.float64)
+    table = _xor_counts(n)[a_count].ravel()
+    cells = np.flatnonzero(table)
+    weights = table[cells].astype(np.float64)
     side = n + 1
-    rows = (flat >> n) * side
-    xs = flat & ((1 << n) - 1)
-    pc = _popcounts(n)
+    # a bin j * side + wt(c + x) is at most n * side + n < 2^8; once read,
+    # the cell indices' buffer takes each center's bins
+    rows = (cells >> n).astype(np.uint8) * np.uint8(side)
+    xs = (cells & ((1 << n) - 1)).astype(np.uint16)
+    words = np.empty_like(xs)
+    ts = np.empty_like(rows)
     counts = np.empty((len(w_counts), side * side))
     for i, nw in enumerate(w_counts):
-        t = pc[xs ^ ((1 << nw) - 1)]
-        counts[i] = np.bincount(
-            rows + t, weights=weights, minlength=side * side
-        )
+        np.bitwise_xor(xs, (1 << nw) - 1, out=words)
+        np.take(_popcounts(n), words, out=ts)
+        np.add(rows, ts, out=cells)
+        counts[i] = np.bincount(cells, weights=weights, minlength=side * side)
     return counts.astype(np.int64).reshape(len(w_counts), side, side)
 
 
 def enumerate_mixed_noise_pmf(n, a_count, w_count, p):
     """Exhaustive-route pmf over resulting weights; n <= ENUM_MAX_N.
 
-    Iterates U over the full type class and Z over all 2^n patterns,
-    with integer counting per (wt(z), resulting weight) cell so float
-    rounding enters only in the final mixture.  The count table is
-    built once, regrouped for each center weight and weighted by each
-    p; w_count and p take the forms `exact_mixed_noise_pmf_vector`
-    takes, with the same bit-for-bit rule.
+    Counts U over the full type class and Z over all 2^n patterns in
+    integers per (wt(z), resulting weight) cell, so float rounding
+    enters only in the final mixture over p.  w_count and p take the
+    forms `exact_mixed_noise_pmf_vector` takes, with its bit-for-bit rule.
     """
     n, na, ws, ps = _pmf_query(n, a_count, w_count, p)
     if n > ENUM_MAX_N:

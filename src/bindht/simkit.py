@@ -34,7 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError, check_closed, check_int
+from .errors import (
+    ParameterError, ResourceLimitError, check_closed, check_int, check_seed,
+)
 from .gf2 import WORD_BITS, _popcount64, coset_table, quantize, syndromes
 from .oracle import _accept_weight
 from .regions import HypothesisPair
@@ -129,16 +131,12 @@ def gen_dsbs(n, p, seed=None):
     X is uniform on n bits, Y = X xor Z with Z i.i.d. Bernoulli(p),
     drawn by the sampler of `simulate` (`_draw_words`) from the raw
     words of one bit generator, which serves every level in turn.  seed
-    may be anything `numpy.random.default_rng` accepts, including an
-    existing Generator, whose bit generator is read in place; anything
-    else, a negative or non-integer number too, is a ParameterError.
+    is read by `errors.check_seed`; an existing Generator's bit generator
+    is read in place.
     """
     check_int("blocklength", n, 1, WORD_BITS)
     check_closed("p", p, 0, 1)
-    try:
-        bits = np.random.default_rng(seed).bit_generator
-    except (TypeError, ValueError):
-        raise ParameterError(f"seed={seed!r} is not a seed") from None
+    bits = check_seed(seed).bit_generator
     x, z = _draw_words(lambda level: bits, 1, n, p)
     return int(x[0]), int(x[0] ^ z[0])
 

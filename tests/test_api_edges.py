@@ -15,6 +15,7 @@ import math
 from decimal import Decimal
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from bindht import (
@@ -34,6 +35,7 @@ from bindht import (
     expurgated_exponent,
     gen_dsbs,
     gv_distance,
+    improve_covering,
     inverse_binary_entropy,
     mixed_weight_exponent,
     np_exact_errors,
@@ -58,6 +60,8 @@ _EDGES = [
     np.int64(3), np.uint8(2), np.int16(-1),
     # not numbers: each fails the comparison with a range
     "0.3", None, 1j, [0.1], np.array([0.1, 0.2]),
+    # nor these, though each compares with a range
+    np.complex128(0.1 + 0.5j), np.array([0.1]),
 ]
 
 _CURVE = tradeoff_curve("symmetric", HypothesisPair(0.01, 0.25), 0.3,
@@ -214,13 +218,21 @@ _CALLS = {
         _check_matrix,
     ),
     "sample_random_linear_code": (
-        lambda n, k: sample_random_linear_code(n, k, seed=0),
-        [_int(8, 64), _int(1, 8)],
+        sample_random_linear_code,
+        [_int(8, 64), _int(1, 8), _int(0, 10)],
+        _check_code,
+    ),
+    # n - k <= 8 keeps the leader tables small
+    "improve_covering": (
+        lambda n, k, seed: improve_covering(
+            sample_random_linear_code(n, k, seed=0), seed
+        ),
+        [_int(8, 12), st.just(4), _int(0, 10)],
         _check_code,
     ),
     "build_nested": (
-        lambda n, fine, coarse: build_nested(n, fine, coarse, seed=0),
-        [_int(8, 64), _real(0.5, 1.0), _real(0.1, 0.5)],
+        build_nested,
+        [_int(8, 64), _real(0.5, 1.0), _real(0.1, 0.5), _int(0, 10)],
         _check_nested,
     ),
     "stein_sweep": (
@@ -368,9 +380,9 @@ def _planted(name, *args):
 @_planted("BitMatrix", 1, 2.5, 1)
 @_planted("BitMatrix", 1, 65, 1)
 @_planted("BitMatrix.from_rows", 3, 2.5)
-@_planted("build_nested", math.nan, 1.0, 0.5)
-@_planted("build_nested", 70, 0.9, 0.8)
-@_planted("sample_random_linear_code", 70, 3)
+@_planted("build_nested", math.nan, 1.0, 0.5, 0)
+@_planted("build_nested", 70, 0.9, 0.8, 0)
+@_planted("sample_random_linear_code", 70, 3, 0)
 @_planted("stein_sweep", 0.25, 0.3, 0.01, 0.02, 2.5)
 @_planted("stein_sweep", 0.25, 0.3, 0.01, 0.02, -1)
 @_planted("tradeoff_curve", "one_sided", 0.3, 2.5, 2, 2)
@@ -395,7 +407,7 @@ def _planted(name, *args):
 @_planted("weight_difference_exponent", "0.1", 0.2, 0.2, 0.0)
 @_planted("mixed_weight_exponent", None, 0.1, 0.1, 0.1)
 @_planted("best_channel_exponent", 0.1, "0.2")
-@_planted("build_nested", 16, "0.9", 0.5)
+@_planted("build_nested", 16, "0.9", 0.5, 0)
 @_planted("SimConfig", 8, 10, 0, "0.1")
 @_planted("gen_dsbs", 8, "0.1", 0)
 @_planted("gen_dsbs", 8, 0.1, "0")
@@ -405,6 +417,11 @@ def _planted(name, *args):
 @_planted("binary_convolution", 0.1, np.array([0.1, 0.2]))
 @_planted("baseline_pair", 0.01, 0.25, 1j, 0.1)
 @_planted("one_sided_pair", 0.01, 0.3, [0.1], 0.2, 0.3)
+# seeds numpy refuses: each is a ParameterError, as in gen_dsbs
+@_planted("sample_random_linear_code", 16, 4, math.nan)
+@_planted("improve_covering", 12, 4, "x")
+@_planted("build_nested", 16, 0.9, 0.5, -1)
+@_planted("gen_dsbs", 8, 0.1, math.nan)
 # narrow numpy counts in range, which wrapped in the count arithmetic
 @example(("np_exact_errors", (np.uint8(2), 0.0, 0.0, 0.0), False))
 @example(("exact_mixed_noise_pmf", (np.uint8(10), 2, np.uint8(3), 4, 0.1),
@@ -418,6 +435,34 @@ def test_public_api_gives_finite_values_or_parameter_error(call):
         assert planted, f"{name}{args} refused"
         return
     check(out, *args)
+
+
+def test_complex_numbers_and_arrays_are_not_numbers():
+    # numpy orders a complex by its real part and a one-entry array by
+    # its entry, so both passed the comparison with a range
+    calls = [
+        lambda: binary_entropy(np.complex128(0.1 + 0.5j)),
+        lambda: binary_entropy(np.array([0.1])),
+        lambda: HypothesisPair(np.array([0.1]), 0.25),
+        lambda: gen_dsbs(8, np.complex128(0.1)),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="is not a number"):
+            call()
+
+
+def test_seeds_numpy_refuses_are_parameter_errors():
+    code = sample_random_linear_code(12, 6, seed=0)
+    calls = [
+        lambda seed: sample_random_linear_code(12, 6, seed),
+        lambda seed: improve_covering(code, seed),
+        lambda seed: build_nested(12, 0.75, 0.5, seed),
+        lambda seed: gen_dsbs(8, 0.1, seed),
+    ]
+    for call in calls:
+        for seed in (math.nan, "x", -1, 2.5):
+            with pytest.raises(ParameterError, match="is not a seed"):
+                call(seed)
 
 
 def test_numbers_accepted_before_still_pass():

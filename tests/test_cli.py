@@ -803,10 +803,19 @@ def test_validate_injected_failure(capsys, monkeypatch):
 
 
 def test_validate_full_passes(capsys):
+    # every line, so a check cannot be renamed, dropped or moved unseen
     code, out, _ = _run(capsys, "validate", "--level", "full")
     assert code == 0
-    assert "PASS exhaustive enumeration equality" in out
-    assert out.endswith("7/7 checks passed\n")
+    assert out == (
+        "PASS binmath identities\n"
+        "PASS channel exponent zero at capacity\n"
+        "PASS mixed noise pmf normalization\n"
+        "PASS threshold test oracle\n"
+        "PASS symmetric equals one-sided at a=0\n"
+        "PASS exhaustive enumeration equality\n"
+        "PASS ball probability convergence\n"
+        "7/7 checks passed\n"
+    )
 
 
 def test_validate_full_detects_enumeration_mismatch(capsys, monkeypatch):

@@ -6,7 +6,8 @@ quantization) a direct two-binomial convolution.  The lemma itself is
 evaluated twice: the pmf vector (n <= 64) from integer binomial
 coefficients, and point and ball probabilities in the log domain at
 every n.  They must agree to near machine precision wherever they
-overlap.
+overlap.  The enumeration's count table, built by a recursion over
+coordinates, must equal the pair scatter of `enum_oracle` cell for cell.
 """
 
 import math
@@ -20,6 +21,7 @@ from scipy.stats import binom
 
 from bindht.errors import ParameterError, ResourceLimitError
 from bindht.oracle import (
+    ENUM_MAX_N,
     _enumerate_counts,
     _log_binom_pmf,
     _log_comb,
@@ -36,6 +38,7 @@ from bindht.oracle import (
     np_exact_errors,
     np_exact_log2_errors,
 )
+from enum_oracle import xor_counts_scatter
 
 
 def test_pmf_matches_enumeration_small():
@@ -82,20 +85,32 @@ def test_enumerate_counts_match_reference_kernel():
             assert got.sum() == math.comb(n, na) << n
 
 
+def test_xor_count_recursion_matches_pair_scatter():
+    # every (n, na) the exhaustive route serves, cell for cell
+    for n in range(1, ENUM_MAX_N + 1):
+        table = _xor_counts(n)
+        for na in range(n + 1):
+            assert np.array_equal(table[na], xor_counts_scatter(n, na)), (
+                n, na,
+            )
+
+
 def test_xor_count_table_is_read_only_and_complete():
     assert _xor_counts.cache_info().maxsize == 1
-    for n, na in ((1, 0), (1, 1), (7, 3), (12, 0), (12, 6), (12, 12)):
-        table = _xor_counts(n, na)
-        assert table.shape == (n + 1, 1 << n) and table.dtype == np.int64
+    for n, nas in ((1, (0, 1)), (7, (3,)), (12, (0, 6, 12))):
+        table = _xor_counts(n)
+        assert table.shape == (n + 1, n + 1, 1 << n)
+        assert table.dtype == np.uint16
         assert not table.flags.writeable
         with pytest.raises(ValueError):
-            table[0, 0] = 1
-        # every (U, z) pair lands in one cell
-        assert table.sum() == math.comb(n, na) << n
-        np.testing.assert_array_equal(
-            table.sum(axis=1),
-            [math.comb(n, na) * math.comb(n, j) for j in range(n + 1)],
-        )
+            table[0, 0, 0] = 1
+        for na in nas:
+            # every (U, z) pair lands in one cell of its a-slice
+            assert table[na].sum() == math.comb(n, na) << n
+            np.testing.assert_array_equal(
+                table[na].sum(axis=1),
+                [math.comb(n, na) * math.comb(n, j) for j in range(n + 1)],
+            )
 
 
 def test_enumerate_counts_interleaved_calls_match_cold_calls():
