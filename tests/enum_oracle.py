@@ -13,20 +13,15 @@ import numpy as np
 _BLOCK = 1 << 17
 
 
-def popcounts(n):
-    """Weights of the 2^n words of length n, as uint8."""
-    return np.array([bin(i).count("1") for i in range(1 << n)], dtype=np.uint8)
-
-
 def xor_counts_scatter(n, a_count):
     """int64 table N[j, x] = #{(U, z): wt(U) = a_count, wt(z) = j,
-    U + z = x}, of shape (n + 1, 2^n), one pair at a time.
+    U + z = x}, of shape (n + 1, 2^n), each pair added to its own cell.
 
     A cell is (wt(z) << n) | (U ^ z), at most 12 * 2^12 + 2^12 - 1 =
     53,247 for n <= 12, so cells fit uint16.
     """
     zs = np.arange(1 << n, dtype=np.uint16)
-    pc = popcounts(n)
+    pc = np.array([bin(i).count("1") for i in range(1 << n)], dtype=np.uint8)
     jshift = pc.astype(np.uint16) << np.uint16(n)
     us = zs[pc == a_count]
     counts = np.zeros((n + 1) << n, dtype=np.int64)
