@@ -20,13 +20,14 @@ s_m.
 the decomposition: it counts U over the whole type class and Z over
 all 2^n patterns, accumulating exact integer counts per (weight of z,
 resulting weight) cell, and only converts to float at the very end.
-That count table does not depend on p, and the center enters only
-through c + (U + z): exact counts per (weight of U, weight of z, U + z)
-are built once per n, one coordinate at a time and with no binomial
-coefficient, the nonzero cells of the na slice regrouped by the
-resulting weight for each center, and then weighted by each p; every
-(U, z) pair is counted once.  Both pmf routes take nw and p each as a
-scalar or 1-D, so one call covers an (n, na) block.
+Those counts do not depend on p.  One table per n holds them for every
+center weight and every weight of U, built one coordinate at a time:
+each (U, z) pair gains a bit of U, a bit of z and a bit of the center,
+which add to the weights they count.  Every pair is counted once, and
+no binomial coefficient or overlap law enters, so the route shares
+nothing with the closed form it checks.  The table is then weighted by
+each p.  Both pmf routes take nw and p each as a scalar or 1-D, so one
+call covers an (n, na) block.
 
 The uncoded weight-threshold test lives here too; `simkit` decides by
 its acceptance rule, `_accept_weight`.
@@ -39,8 +40,11 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError, check_closed, check_int
 
-#: largest blocklength for exhaustive (U, Z) enumeration; a count
-#: table cell is at most C(12, 6) = 924 < 2^16, so the table is uint16
+#: largest blocklength for exhaustive (U, Z) enumeration, the range the
+#: full validation checks.  It does not bound memory: the count table
+#: has (n + 1)^4 int64 cells, 223 KiB at n = 12.  A cell is at most
+#: C(n, a) * C(n, j) < 4^n, so the counts are exact in int64 and in the
+#: float64 mixture (below 2^53) for every n <= 26.
 ENUM_MAX_N = 12
 
 #: _LOG_FACT[k] = ln(k!), extended by doubling when a larger k arrives
@@ -213,73 +217,31 @@ def exact_ball_log2_prob(n, a_count, w_count, t_count, p):
 
 
 @functools.lru_cache(maxsize=1)
-def _popcounts(n):
-    """Read-only weights of the 2^n words of length n, as uint8."""
-    pc = np.zeros(1 << n, dtype=np.uint8)
-    for k in range(n):
-        pc[1 << k: 2 << k] = pc[: 1 << k] + 1
-    pc.flags.writeable = False
-    return pc
+def _center_counts(n):
+    """Read-only int64 table C[w, a, j, t] = #{(U, z): wt(U) = a,
+    wt(z) = j, wt(c + U + z) = t}, c the word whose low w bits are set,
+    of shape (n + 1,) * 4; U and z each range over all 2^n words.
 
-
-@functools.lru_cache(maxsize=1)
-def _xor_counts(n):
-    """Read-only uint16 table N[a, j, x] = #{(U, z): wt(U) = a,
-    wt(z) = j, U + z = x}, of shape (n + 1, n + 1, 2^n); n <= ENUM_MAX_N.
-
-    Built one coordinate at a time: a pair of (m + 1)-bit words is a pair
-    of m-bit words plus a top bit each, which add to a and to j, and
-    whose xor picks the half of x.  So for x < 2^m, level m + 1 holds
-    N[a, j, x] + N[a - 1, j - 1, x] at x and N[a - 1, j, x] +
-    N[a, j - 1, x] at x + 2^m.  Every word x stays a column, every pair
-    is counted once, and no binomial coefficient enters.  Built in place,
-    one row a at a time, descending, so rows a and a - 1 are read before
-    they are updated; whole halves interleave in memory, so numpy would
-    copy one to add it to the other.
+    Built from the table for n - 1 by one more coordinate: each pair
+    gains a bit u of U and a bit z of z, which add to a and to j, and
+    u + z + c_bit adds to t.  The centers w < n have c_bit = 0 there;
+    the center w = n is the n - 1 center w = n - 1 with c_bit = 1.  So
+    the build is eight shifted slice-adds, every pair is counted once,
+    and no binomial coefficient enters.  Callers walking n upwards pay
+    one step per n.
     """
-    table = np.zeros((n + 1, n + 1, 1 << n), dtype=np.uint16)
-    table[0, 0, 0] = 1
-    for m in range(n):
-        low = table[: m + 2, : m + 2, : 1 << m]
-        high = table[: m + 2, : m + 2, 1 << m: 2 << m]
-        high[0, 1:] = low[0, :-1]
-        for a in range(m + 1, 0, -1):
-            high[a] = low[a - 1]
-            high[a, 1:] += low[a, :-1]
-            low[a, 1:] += low[a - 1, :-1]
+    if n == 0:
+        table = np.ones((1, 1, 1, 1), dtype=np.int64)
+    else:
+        prev = _center_counts(n - 1)
+        table = np.zeros((n + 1,) * 4, dtype=np.int64)
+        for u in (0, 1):
+            for z in (0, 1):
+                a, j, d = slice(u, n + u), slice(z, n + z), u ^ z
+                table[:n, a, j, d: n + d] += prev
+                table[n, a, j, 1 - d: n + 1 - d] += prev[n - 1]
     table.flags.writeable = False
     return table
-
-
-def _enumerate_counts(n, a_count, w_counts):
-    """Integer count tables over (wt(z), resulting weight), one per
-    center weight in ``w_counts``; n <= ENUM_MAX_N.
-
-    Table i, row j, column t counts the pairs (U, z), U over the
-    weight-a_count type class and z over all 2^n patterns with
-    wt(z) = j, for which c + U + z has weight t, c being the center of
-    weight w_counts[i].  It regroups the nonzero cells (j, x) of the
-    a_count slice of `_xor_counts` by wt(c + x), one center at a time,
-    into buffers allocated once per call.  Float64 sums are exact here:
-    no cell exceeds C(12, 6) * 2^12 < 2^53.
-    """
-    table = _xor_counts(n)[a_count].ravel()
-    cells = np.flatnonzero(table)
-    weights = table[cells].astype(np.float64)
-    side = n + 1
-    # a bin j * side + wt(c + x) is at most n * side + n < 2^8; once read,
-    # the cell indices' buffer takes each center's bins
-    rows = (cells >> n).astype(np.uint8) * np.uint8(side)
-    xs = (cells & ((1 << n) - 1)).astype(np.uint16)
-    words = np.empty_like(xs)
-    ts = np.empty_like(rows)
-    counts = np.empty((len(w_counts), side * side))
-    for i, nw in enumerate(w_counts):
-        np.bitwise_xor(xs, (1 << nw) - 1, out=words)
-        np.take(_popcounts(n), words, out=ts)
-        np.add(rows, ts, out=cells)
-        counts[i] = np.bincount(cells, weights=weights, minlength=side * side)
-    return counts.astype(np.int64).reshape(len(w_counts), side, side)
 
 
 def enumerate_mixed_noise_pmf(n, a_count, w_count, p):
@@ -295,7 +257,7 @@ def enumerate_mixed_noise_pmf(n, a_count, w_count, p):
         raise ResourceLimitError(
             f"exhaustive enumeration limited to n <= {ENUM_MAX_N}, got {n}"
         )
-    counts = _enumerate_counts(n, na, ws)
+    counts = _center_counts(n)[ws, na]
     z_prob = np.array(
         [[q ** j * (1.0 - q) ** (n - j) for j in range(n + 1)]
          for q in map(float, ps)]

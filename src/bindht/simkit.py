@@ -301,10 +301,11 @@ def _exponent(eps, n):
 def estimate_errors(records):
     """Aggregate trial records into an ErrorEstimate.
 
-    Needs records from both hypotheses; the false-alarm rate comes from
-    the null trials, the miss rate from the alternative trials, and the
-    exponents are normalized by the records' blocklength.
+    Needs records from both hypotheses and a blocklength n >= 1; the
+    false-alarm rate comes from the null trials, the miss rate from the
+    alternative trials, and the exponents are normalized by n.
     """
+    n = check_int("n", records.n, 1)
     null = records.hypothesis == 0
     m0 = np.count_nonzero(null)
     m1 = len(records) - m0
@@ -323,8 +324,8 @@ def estimate_errors(records):
         eps1=eps1,
         ci0=_wilson(k0, m0),
         ci1=_wilson(k1, m1),
-        exponent0=_exponent(eps0, records.n),
-        exponent1=_exponent(eps1, records.n),
+        exponent0=_exponent(eps0, n),
+        exponent1=_exponent(eps1, n),
         bin_rate0=b0 / m0,
         bin_rate1=b1 / m1,
     )

@@ -23,6 +23,7 @@ from bindht import (
     HypothesisPair,
     SchemeParams,
     SimConfig,
+    TrialRecords,
     ball_noise_ball_exponent,
     best_channel_exponent,
     binary_convolution,
@@ -30,7 +31,9 @@ from bindht import (
     binary_entropy,
     build_nested,
     curve_value_at,
+    diagnostics,
     enumerate_mixed_noise_pmf,
+    estimate_errors,
     exact_mixed_noise_pmf,
     expurgated_exponent,
     gen_dsbs,
@@ -52,7 +55,7 @@ from bindht import (
 )
 from bindht.binmath import DOMAIN_TOL
 from bindht.errors import ParameterError, ResourceLimitError
-from bindht.gf2 import syndromes
+from bindht.gf2 import _SPECTRUM_DIM, _TABLE_BITS, syndromes
 from bindht.regions import SCHEMES, baseline_pair
 
 _EDGES = [
@@ -437,6 +440,65 @@ def test_public_api_gives_finite_values_or_parameter_error(call):
     check(out, *args)
 
 
+#: (decided, bin_error) of each trial of one hypothesis; the list may
+#: be empty, so records can come from one hypothesis or from none
+_TRIALS = st.lists(st.tuples(st.booleans(), st.booleans()), max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.tuples(_int(1, 64), st.just(False))
+    | st.tuples(st.sampled_from(_EDGES), st.just(True)),
+    null=_TRIALS,
+    alt=_TRIALS,
+)
+@example(n=(10, False), null=[], alt=[])
+def test_estimate_errors_gives_finite_values_or_parameter_error(n, null, alt):
+    n, planted = n
+    planted = planted or not (null and alt)
+    rows = [(0, *t) for t in null] + [(1, *t) for t in alt]
+    hyp, decided, bin_error = (
+        np.array([r[i] for r in rows], dtype=dt)
+        for i, dt in enumerate((np.uint8, bool, bool))
+    )
+    weights = np.zeros(len(rows), dtype=np.uint8)
+    records = TrialRecords(n, hyp, bin_error, decided, weights, weights)
+    try:
+        est = estimate_errors(records)
+    except ParameterError:
+        assert planted, f"n={n!r} refused"
+        return
+    assert (est.trials0, est.trials1) == (len(null), len(alt))
+    for eps, ci, exponent in ((est.eps0, est.ci0, est.exponent0),
+                              (est.eps1, est.ci1, est.exponent1)):
+        assert 0.0 <= ci[0] <= eps <= ci[1] <= 1.0
+        # +inf where no error was seen
+        assert exponent >= 0.0 and (math.isfinite(exponent) or eps == 0.0)
+    assert 0.0 <= est.bin_rate0 <= 1.0 and 0.0 <= est.bin_rate1 <= 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 16), k=st.integers(1, 16), seed=st.integers(0, 10))
+# k at the bound of the codeword enumeration, and one past it
+@example(n=_SPECTRUM_DIM, k=_SPECTRUM_DIM, seed=0)
+@example(n=_SPECTRUM_DIM + 1, k=_SPECTRUM_DIM + 1, seed=0)
+# n - k one past the bound of the leader table
+@example(n=_TABLE_BITS + 2, k=1, seed=0)
+def test_diagnostics_give_finite_values_or_resource_limit(n, k, seed):
+    assume(k <= n)
+    code = sample_random_linear_code(n, k, seed)
+    try:
+        diag = diagnostics(code)
+    except ResourceLimitError:
+        assert k > _SPECTRUM_DIM or n - k > _TABLE_BITS
+        return
+    # a full-rank code: the zero word alone has weight 0
+    assert sum(diag.spectrum.values()) == 1 << k and diag.spectrum[0] == 1
+    assert all(0 <= w <= n for w in diag.spectrum)
+    assert 0.0 < diag.min_distance_norm <= 1.0
+    assert 0.0 <= diag.covering_radius_norm <= 1.0
+
+
 def test_complex_numbers_and_arrays_are_not_numbers():
     # numpy orders a complex by its real part and a one-entry array by
     # its entry, so both passed the comparison with a range
@@ -508,6 +570,42 @@ def test_symmetric_pair_below_unconstrained_and_rising_in_rate(
     # only the few ulps of 1 bit of `_ordered`, and it grows to hundreds
     # of bits.  Hence a slack of 1e-13 relative to max(1 bit, e).
     assert hi.e0 <= ref.e0 + 1e-13 * max(1.0, ref.e0)
+    assert hi.e1 <= ref.e1 + 1e-13 * max(1.0, ref.e1)
+    # more rate never hurts, and here it holds exactly
+    assert lo.e0 <= hi.e0 and lo.e1 <= hi.e1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p0=st.floats(0.0, 0.5, exclude_max=True),
+    gap=st.floats(0.0, 1.0, exclude_min=True),
+    frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    a=st.floats(0.0, 0.5),
+    rates=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+)
+def test_one_sided_pair_e1_below_unconstrained_and_rising_in_rate(
+        p0, gap, frac, a, rates):
+    p1 = p0 + gap * (0.5 - p0)
+    q = p0 + frac * (p1 - p0)
+    assume(p0 < q < p1)
+    h = HypothesisPair(p0, p1)
+    # The scheme thresholds the quantized noise, of crossover a * p, so
+    # its threshold a * q stands for the threshold q on the raw noise:
+    # the quantized test cannot beat the centralized test at q.  At the
+    # same threshold it can (e1 0.122 against 0.029 at p0 = 0,
+    # p1 = 0.239, theta = a = 0.1575).
+    ref = unconstrained_pair(h, q)
+    budget = 1.0 - binary_entropy(a)
+    lo, hi = (
+        one_sided_pair(h, SchemeParams(a, binary_convolution(a, q), r * budget))
+        for r in sorted(rates)
+    )
+    # The slack of the symmetric test above, for the same reason: a
+    # threshold moved by rounding, read where e's slope reaches about
+    # 1075 bits.  e0 is left out: read at 1 - theta, with a rounding of
+    # theta moving q 1 / (1 - 2a) times as far, it exceeds that slack
+    # where p0 is near the underflow limit (2.09e-13 against 4.60e-14
+    # at p0 = 1e-300, q = 4.9e-17, a = 0.0977).
     assert hi.e1 <= ref.e1 + 1e-13 * max(1.0, ref.e1)
     # more rate never hurts, and here it holds exactly
     assert lo.e0 <= hi.e0 and lo.e1 <= hi.e1

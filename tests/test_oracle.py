@@ -22,7 +22,7 @@ from scipy.stats import binom
 from bindht.errors import ParameterError, ResourceLimitError
 from bindht.oracle import (
     ENUM_MAX_N,
-    _enumerate_counts,
+    _center_counts,
     _log_binom_pmf,
     _log_comb,
     _log_hyp_weights,
@@ -30,7 +30,6 @@ from bindht.oracle import (
     _logsumexp,
     _overlap_range,
     _shift_kernel,
-    _xor_counts,
     enumerate_mixed_noise_pmf,
     exact_ball_log2_prob,
     exact_mixed_noise_pmf,
@@ -38,7 +37,7 @@ from bindht.oracle import (
     np_exact_errors,
     np_exact_log2_errors,
 )
-from enum_oracle import xor_counts_scatter
+from enum_oracle import center_counts_scatter
 
 
 def test_pmf_matches_enumeration_small():
@@ -51,77 +50,47 @@ def test_pmf_matches_enumeration_small():
                 np.testing.assert_allclose(fast, brute, rtol=1e-12, atol=1e-300)
 
 
-def _reference_counts(n, a_count, w_count):
-    # the original enumeration kernel: int64 words, a string popcount and
-    # 2^22-element blocks, kept as the reference for _enumerate_counts
-    c = (1 << w_count) - 1
-    zs = np.arange(1 << n, dtype=np.int64)
-    pc = np.array([bin(i).count("1") for i in range(1 << n)], dtype=np.uint8)
-    us = zs[pc == a_count]
-    vs = (c ^ us).astype(np.int64)
-    counts = np.zeros((n + 1) * (n + 1), dtype=np.int64)
-    chunk = max(1, (1 << 22) // (1 << n))
-    for i in range(0, len(vs), chunk):
-        block = vs[i: i + chunk, None] ^ zs[None, :]
-        combined = pc[block].astype(np.int64) * (n + 1) + pc[zs][None, :]
-        counts += np.bincount(combined.ravel(), minlength=len(counts))
-    return counts.reshape(n + 1, n + 1)
-
-
 def test_enumerate_counts_match_reference_kernel():
-    # every center weight of one (n, na) per call, one table each
-    cases = [
-        (n, na, list(range(n + 1)))
-        for n in range(1, 11)
-        for na in range(n + 1)
-    ]
-    cases += [(12, 0, [12]), (12, 6, [6]), (12, 5, [9, 2]), (12, 12, [0])]
-    for n, na, nws in cases:
-        tables = _enumerate_counts(n, na, nws)
-        assert tables.shape == (len(nws), n + 1, n + 1)
-        for nw, got in zip(nws, tables):
-            want = _reference_counts(n, na, nw)
-            assert np.array_equal(got, want), (n, na, nw)
-            assert got.sum() == math.comb(n, na) << n
-
-
-def test_xor_count_recursion_matches_pair_scatter():
-    # every (n, na) the exhaustive route serves, cell for cell
+    # every (n, na, nw) the exhaustive route serves, cell for cell
     for n in range(1, ENUM_MAX_N + 1):
-        table = _xor_counts(n)
+        table = _center_counts(n)
         for na in range(n + 1):
-            assert np.array_equal(table[na], xor_counts_scatter(n, na)), (
-                n, na,
-            )
+            want = center_counts_scatter(n, na)
+            assert np.array_equal(table[:, na], want), (n, na)
+            # z -> c + U + z permutes the 2^n patterns for each U and
+            # swaps wt(z) with the resulting weight, so each [j, t] block
+            # is its own transpose; the comparison above cannot tell the
+            # two axes apart
+            assert np.array_equal(table[:, na], table[:, na].swapaxes(1, 2))
 
 
-def test_xor_count_table_is_read_only_and_complete():
-    assert _xor_counts.cache_info().maxsize == 1
+def test_center_count_table_is_read_only_and_complete():
+    assert _center_counts.cache_info().maxsize == 1
     for n, nas in ((1, (0, 1)), (7, (3,)), (12, (0, 6, 12))):
-        table = _xor_counts(n)
-        assert table.shape == (n + 1, n + 1, 1 << n)
-        assert table.dtype == np.uint16
+        table = _center_counts(n)
+        assert table.shape == (n + 1,) * 4
+        assert table.dtype == np.int64
         assert not table.flags.writeable
         with pytest.raises(ValueError):
-            table[0, 0, 0] = 1
-        for na in nas:
-            # every (U, z) pair lands in one cell of its a-slice
-            assert table[na].sum() == math.comb(n, na) << n
-            np.testing.assert_array_equal(
-                table[na].sum(axis=1),
-                [math.comb(n, na) * math.comb(n, j) for j in range(n + 1)],
-            )
+            table[0, 0, 0, 0] = 1
+        for nw in range(n + 1):
+            for na in nas:
+                # every (U, z) pair lands in one cell of its (w, a) slice
+                assert table[nw, na].sum() == math.comb(n, na) << n
+                np.testing.assert_array_equal(
+                    table[nw, na].sum(axis=1),
+                    [math.comb(n, na) * math.comb(n, j) for j in range(n + 1)],
+                )
 
 
 def test_enumerate_counts_interleaved_calls_match_cold_calls():
-    triples = [
-        (12, 5, [9]), (11, 3, [2, 7]), (12, 5, [9, 0]), (12, 5, [0]),
-        (4, 2, [1]),
-    ]
-    warm = [_enumerate_counts(*t) for t in triples]
-    for t, got in zip(triples, warm):
-        _xor_counts.cache_clear()
-        assert np.array_equal(got, _enumerate_counts(*t)), t
+    # a table built on whichever n - 1 table the cache held equals a
+    # table built from n = 0
+    ns = [12, 11, 12, 4, 5, 12]
+    warm = [_center_counts(n) for n in ns]
+    for n, got in zip(ns, warm):
+        _center_counts.cache_clear()
+        assert np.array_equal(got, _center_counts(n)), n
 
 
 def test_enumeration_p_sequence_rows_equal_scalar_calls():
