@@ -50,8 +50,39 @@ def test_pmf_matches_enumeration_small():
                 np.testing.assert_allclose(fast, brute, rtol=1e-12, atol=1e-300)
 
 
+def _reference_counts(n, a_count, w_count):
+    # the original enumeration kernel: int64 words, a string popcount and
+    # 2^22-element blocks, one (n, na, nw) per call; returns [t, j]
+    c = (1 << w_count) - 1
+    zs = np.arange(1 << n, dtype=np.int64)
+    pc = np.array([bin(i).count("1") for i in range(1 << n)], dtype=np.uint8)
+    us = zs[pc == a_count]
+    vs = (c ^ us).astype(np.int64)
+    counts = np.zeros((n + 1) * (n + 1), dtype=np.int64)
+    chunk = max(1, (1 << 22) // (1 << n))
+    for i in range(0, len(vs), chunk):
+        block = vs[i: i + chunk, None] ^ zs[None, :]
+        combined = pc[block].astype(np.int64) * (n + 1) + pc[zs][None, :]
+        counts += np.bincount(combined.ravel(), minlength=len(counts))
+    return counts.reshape(n + 1, n + 1)
+
+
 def test_enumerate_counts_match_reference_kernel():
-    # every (n, na, nw) the exhaustive route serves, cell for cell
+    # every center weight of one (n, na), each against its own kernel call
+    cases = [
+        (n, na, range(n + 1)) for n in range(1, 11) for na in range(n + 1)
+    ]
+    cases += [(12, 0, [12]), (12, 6, [6]), (12, 5, [9, 2]), (12, 12, [0])]
+    for n, na, nws in cases:
+        table = _center_counts(n)
+        for nw in nws:
+            want = _reference_counts(n, na, nw)
+            assert np.array_equal(table[nw, na], want.T), (n, na, nw)
+            assert table[nw, na].sum() == math.comb(n, na) << n
+
+
+def test_xor_count_recursion_matches_pair_scatter():
+    # every (n, na) the exhaustive route serves, cell for cell
     for n in range(1, ENUM_MAX_N + 1):
         table = _center_counts(n)
         for na in range(n + 1):
